@@ -123,8 +123,8 @@ let is_array_get_path path =
 (* The flight recorder's documented discipline (DESIGN.md, lib/trace):
    event payloads are built only under an [if Tracer.enabled ...] guard,
    so untraced runs never evaluate them.  Allocation sites inside such a
-   guard's then-branch are not hot-path allocations; the trace-overhead
-   bench target keeps the guard itself honest. *)
+   guard's then-branch are not hot-path allocations; the untraced
+   packet-replay bench row keeps the guard itself honest. *)
 let is_trace_guard cond =
   match cond.pexp_desc with
   | Pexp_apply (fn, _) -> (

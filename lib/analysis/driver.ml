@@ -284,42 +284,41 @@ let run ?(families = Rules.families) ~root ~allow_path () =
 
 let clean report = List.is_empty report.findings
 
+(* Lint reports are JSON trees rendered by the one shared printer. *)
+module Json = Lazyctrl_util.Json
+
+let finding_json (f : Finding.t) =
+  Json.Obj
+    [
+      ("file", Json.Str f.file);
+      ("line", Json.int f.line);
+      ("col", Json.int f.col);
+      ("rule", Json.Str f.rule);
+      ("severity", Json.Str (Finding.severity_string f.severity));
+      ("message", Json.Str f.message);
+    ]
+
+let findings_json findings = Json.List (List.map finding_json findings)
+
 let report_to_json report =
-  let buf = Buffer.create 1024 in
-  let emit_list name findings tail =
-    Buffer.add_string buf (Printf.sprintf "\"%s\": [" name);
-    List.iteri
-      (fun i f ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf "\n    ";
-        Buffer.add_string buf (Finding.to_json f))
-      findings;
-    Buffer.add_string buf "\n  ]";
-    Buffer.add_string buf tail
-  in
-  Buffer.add_string buf "{\n  ";
-  emit_list "findings" report.findings ",\n  ";
-  emit_list "suppressed" report.suppressed ",\n  ";
-  emit_list "stale_allowlist" report.stale ",\n  ";
-  Buffer.add_string buf "\"callgraph_notes\": [";
-  List.iteri
-    (fun i (file, note) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    {\"file\": \"%s\", \"note\": \"%s\"}"
-           (Finding.json_escape file) (Finding.json_escape note)))
-    report.callgraph_notes;
-  Buffer.add_string buf "\n  ],\n  \"parse_failures\": [";
-  List.iteri
-    (fun i (file, _) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    \"%s\"" (Finding.json_escape file)))
-    report.parse_failures;
-  Buffer.add_string buf
-    (Printf.sprintf "\n  ],\n  \"files_scanned\": %d,\n  \"clean\": %b\n}"
-       report.files_scanned (clean report));
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [
+         ("findings", findings_json report.findings);
+         ("suppressed", findings_json report.suppressed);
+         ("stale_allowlist", findings_json report.stale);
+         ( "callgraph_notes",
+           Json.List
+             (List.map
+                (fun (file, note) ->
+                  Json.Obj [ ("file", Json.Str file); ("note", Json.Str note) ])
+                report.callgraph_notes) );
+         ( "parse_failures",
+           Json.List
+             (List.map (fun (file, _) -> Json.Str file) report.parse_failures) );
+         ("files_scanned", Json.int report.files_scanned);
+         ("clean", Json.Bool (clean report));
+       ])
 
 (* --- ownership report ------------------------------------------------------- *)
 
@@ -334,58 +333,56 @@ let ownership_report_json ~root () =
     List.concat_map (fun d -> files_under ~root ~suffix:".ml" d []) scan_dirs
     |> List.sort String.compare
   in
-  let buf = Buffer.create 4096 in
-  let str s = Printf.sprintf "\"%s\"" (Finding.json_escape s) in
-  Buffer.add_string buf "{\n  \"entries\": [";
-  List.iteri
-    (fun i (e : Ownership.entry) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    {\"phase\": %s, \"shard\": %s, \"id\": %s}"
-           (str (Ownership.phase_name e.Ownership.e_phase))
-           (str e.Ownership.e_shard) (str e.Ownership.e_id)))
-    spec.Ownership.entries;
-  Buffer.add_string buf "\n  ],\n  \"modules\": [";
-  let first = ref true in
-  List.iter
-    (fun rel ->
-      let c = parse_cached ~root rel in
-      let declared =
-        match c.c_parse with
-        | Ok s -> Mutinv.declared (Mutinv.scan ~file:rel s)
-        | Error _ -> []
-      in
-      let cls = Ownership.class_of spec ~file:rel in
-      (* keep the report focused: skip unclassified modules that hold no
-         mutable state (nothing to own) *)
-      if Option.is_some cls || not (List.is_empty declared) then begin
-        if not !first then Buffer.add_char buf ',';
-        first := false;
-        let cls_json, why_json =
-          match cls with
-          | None -> ("null", "null")
-          | Some (c, why) ->
-              ( str (Ownership.class_name c),
-                match why with None -> "null" | Some w -> str w )
+  let opt_str = function None -> Json.Null | Some s -> Json.Str s in
+  let entries =
+    List.map
+      (fun (e : Ownership.entry) ->
+        Json.Obj
+          [
+            ("phase", Json.Str (Ownership.phase_name e.Ownership.e_phase));
+            ("shard", Json.Str e.Ownership.e_shard);
+            ("id", Json.Str e.Ownership.e_id);
+          ])
+      spec.Ownership.entries
+  in
+  let modules =
+    List.filter_map
+      (fun rel ->
+        let c = parse_cached ~root rel in
+        let declared =
+          match c.c_parse with
+          | Ok s -> Mutinv.declared (Mutinv.scan ~file:rel s)
+          | Error _ -> []
         in
-        Buffer.add_string buf
-          (Printf.sprintf "\n    {\"file\": %s, \"class\": %s, \"why\": %s,\
-                           \ \"mutable\": ["
-             (str rel) cls_json why_json);
-        List.iteri
-          (fun i (m : Mutinv.item) ->
-            if i > 0 then Buffer.add_string buf ", ";
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "{\"line\": %d, \"kind\": %s, \"name\": %s}" m.Mutinv.m_line
-                 (str (Mutinv.kind_name m.Mutinv.m_kind))
-                 (str m.Mutinv.m_name)))
-          declared;
-        Buffer.add_string buf "]}"
-      end)
-    files;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+        let cls = Ownership.class_of spec ~file:rel in
+        (* keep the report focused: skip unclassified modules that hold no
+           mutable state (nothing to own) *)
+        if Option.is_none cls && List.is_empty declared then None
+        else
+          Some
+            (Json.Obj
+               [
+                 ("file", Json.Str rel);
+                 ( "class",
+                   opt_str (Option.map (fun (c, _) -> Ownership.class_name c) cls)
+                 );
+                 ("why", opt_str (Option.bind cls snd));
+                 ( "mutable",
+                   Json.List
+                     (List.map
+                        (fun (m : Mutinv.item) ->
+                          Json.Obj
+                            [
+                              ("line", Json.int m.Mutinv.m_line);
+                              ("kind", Json.Str (Mutinv.kind_name m.Mutinv.m_kind));
+                              ("name", Json.Str m.Mutinv.m_name);
+                            ])
+                        declared) );
+               ]))
+      files
+  in
+  Json.to_string
+    (Json.Obj [ ("entries", Json.List entries); ("modules", Json.List modules) ])
 
 (* --- hotpath report --------------------------------------------------------- *)
 
@@ -467,52 +464,33 @@ let hotpath_check ~root ~allow_path ~budget_path ~measured () =
 let hotpath_clean r = List.is_empty r.hp_findings
 
 let hotpath_report_json r =
-  let buf = Buffer.create 4096 in
-  let str s = Printf.sprintf "\"%s\"" (Finding.json_escape s) in
-  let opt_num = function
-    | None -> "null"
-    | Some v -> Printf.sprintf "%.4f" v
+  let opt_num = function None -> Json.Null | Some v -> Json.Num v in
+  let probe_json (row : Hotbudget.row) =
+    let entries =
+      match
+        List.find_opt
+          (fun (p : Hotpath.probe_status) ->
+            String.equal p.Hotpath.p_probe row.Hotbudget.r_probe)
+          r.hp_probes
+      with
+      | Some p -> p.Hotpath.p_entries
+      | None -> []
+    in
+    Json.Obj
+      [
+        ("probe", Json.Str row.Hotbudget.r_probe);
+        ("entries", Json.List (List.map (fun e -> Json.Str e) entries));
+        ("static_alloc_sites", Json.int row.Hotbudget.r_static_sites);
+        ("budget_words_per_op", opt_num row.Hotbudget.r_budget);
+        ("measured_words_per_op", opt_num row.Hotbudget.r_measured);
+        ("verdict", Json.Str (Hotbudget.verdict_name row.Hotbudget.r_verdict));
+      ]
   in
-  Buffer.add_string buf "{\n  \"probes\": [";
-  List.iteri
-    (fun i (row : Hotbudget.row) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let entries =
-        match
-          List.find_opt
-            (fun (p : Hotpath.probe_status) ->
-              String.equal p.Hotpath.p_probe row.Hotbudget.r_probe)
-            r.hp_probes
-        with
-        | Some p -> p.Hotpath.p_entries
-        | None -> []
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    {\"probe\": %s, \"entries\": [%s], \"static_alloc_sites\": \
-            %d, \"budget_words_per_op\": %s, \"measured_words_per_op\": %s, \
-            \"verdict\": %s}"
-           (str row.Hotbudget.r_probe)
-           (String.concat ", " (List.map str entries))
-           row.Hotbudget.r_static_sites
-           (opt_num row.Hotbudget.r_budget)
-           (opt_num row.Hotbudget.r_measured)
-           (str (Hotbudget.verdict_name row.Hotbudget.r_verdict))))
-    r.hp_rows;
-  let emit_list name findings tail =
-    Buffer.add_string buf (Printf.sprintf "\"%s\": [" name);
-    List.iteri
-      (fun i f ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf "\n    ";
-        Buffer.add_string buf (Finding.to_json f))
-      findings;
-    Buffer.add_string buf "\n  ]";
-    Buffer.add_string buf tail
-  in
-  Buffer.add_string buf "\n  ],\n  ";
-  emit_list "findings" r.hp_findings ",\n  ";
-  emit_list "suppressed" r.hp_suppressed "";
-  Buffer.add_string buf
-    (Printf.sprintf ",\n  \"clean\": %b\n}\n" (hotpath_clean r));
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [
+         ("probes", Json.List (List.map probe_json r.hp_rows));
+         ("findings", findings_json r.hp_findings);
+         ("suppressed", findings_json r.hp_suppressed);
+         ("clean", Json.Bool (hotpath_clean r));
+       ])

@@ -32,25 +32,3 @@ let pp fmt t =
     (severity_string t.severity) t.message
 
 let to_string t = Format.asprintf "%a" pp t
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json t =
-  Printf.sprintf
-    {|{"file":"%s","line":%d,"col":%d,"rule":"%s","severity":"%s","message":"%s"}|}
-    (json_escape t.file) t.line t.col (json_escape t.rule)
-    (severity_string t.severity)
-    (json_escape t.message)

@@ -25,7 +25,5 @@ val compare : t -> t -> int
 
 val to_string : t -> string
 
-(** Escape a string for embedding in a JSON literal. *)
-val json_escape : string -> string
-
-val to_json : t -> string
+val severity_string : severity -> string
+(** ["error"] or ["warning"], as the JSON and SARIF reports spell it. *)

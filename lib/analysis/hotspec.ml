@@ -237,7 +237,7 @@ let default =
           b_why =
             "flight-recorder emission: the whole body sits under the \
              Tracer.enabled guard, so the untraced fast path allocates \
-             nothing (the trace-overhead bench keeps that honest); with \
+             nothing (the untraced packet-replay bench keeps that honest); with \
              tracing on, recording the event is the point";
         };
         {

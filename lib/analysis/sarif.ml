@@ -263,46 +263,57 @@ let catalog_complete () =
   List.length catalog = List.length Rules.all
   && List.for_all (fun r -> Option.is_some (metadata_of r)) Rules.all
 
-let level_of = function Finding.Error -> "error" | Finding.Warning -> "warning"
-
 let of_findings findings =
-  let buf = Buffer.create 4096 in
-  let str s = Printf.sprintf "\"%s\"" (Finding.json_escape s) in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"$schema\": %s,\n  \"version\": \"2.1.0\",\n  \"runs\": [\n    \
-        {\n      \"tool\": {\n        \"driver\": {\n          \"name\": %s,\n\
-       \          \"rules\": ["
-       (str schema) (str tool_name));
-  List.iteri
-    (fun i m ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n            {\"id\": %s, \"name\": %s, \"shortDescription\": \
-            {\"text\": %s}, \"fullDescription\": {\"text\": %s}, \"help\": \
-            {\"text\": %s}}"
-           (str m.m_id) (str m.m_name) (str m.m_short) (str m.m_help)
-           (str m.m_help)))
-    catalog;
-  Buffer.add_string buf "\n          ]\n        }\n      },\n      \"results\": [";
-  List.iteri
-    (fun i (f : Finding.t) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n        {\"ruleId\": %s, \"level\": %s, \"message\": {\"text\": \
-            %s}, \"locations\": [{\"physicalLocation\": \
-            {\"artifactLocation\": {\"uri\": %s, \"uriBaseId\": \
-            \"SRCROOT\"}, \"region\": {\"startLine\": %d, \"startColumn\": \
-            %d}}}]}"
-           (str f.rule)
-           (str (level_of f.severity))
-           (str f.message) (str f.file)
-           (max 1 f.line)
-           (f.col + 1)))
-    findings;
-  Buffer.add_string buf "\n      ]\n    }\n  ]\n}\n";
-  Buffer.contents buf
+  let module Json = Lazyctrl_util.Json in
+  let str s = Json.Str s in
+  let text s = Json.Obj [ ("text", str s) ] in
+  let rule m =
+    Json.Obj
+      [
+        ("id", str m.m_id);
+        ("name", str m.m_name);
+        ("shortDescription", text m.m_short);
+        ("fullDescription", text m.m_help);
+        ("help", text m.m_help);
+      ]
+  in
+  let result (f : Finding.t) =
+    let artifact = [ ("uri", str f.file); ("uriBaseId", str "SRCROOT") ] in
+    let region =
+      [
+        ("startLine", Json.int (max 1 f.line));
+        ("startColumn", Json.int (f.col + 1));
+      ]
+    in
+    let location =
+      [ ("artifactLocation", Json.Obj artifact); ("region", Json.Obj region) ]
+    in
+    Json.Obj
+      [
+        ("ruleId", str f.rule);
+        ("level", str (Finding.severity_string f.severity));
+        ("message", text f.message);
+        ( "locations",
+          Json.List [ Json.Obj [ ("physicalLocation", Json.Obj location) ] ] );
+      ]
+  in
+  let driver =
+    Json.Obj
+      [ ("name", str tool_name); ("rules", Json.List (List.map rule catalog)) ]
+  in
+  let run =
+    Json.Obj
+      [
+        ("tool", Json.Obj [ ("driver", driver) ]);
+        ("results", Json.List (List.map result findings));
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("$schema", str schema);
+         ("version", str "2.1.0");
+         ("runs", Json.List [ run ]);
+       ])
 
 let of_report (report : Driver.report) = of_findings report.Driver.findings

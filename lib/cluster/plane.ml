@@ -9,16 +9,6 @@ module Prng = Lazyctrl_util.Prng
 module Det = Lazyctrl_util.Det
 module Sid = Ids.Switch_id
 module Gid = Ids.Group_id
-module Wire = Lazyctrl_wire.Wire
-
-(* Switch-facing channels carry encoded §13 frames, like Network's.  The
-   coordination mesh stays value-passing: it is the management plane
-   between controller processes (gossip, views, handoffs), not
-   switch-facing OpenFlow, and its load is not part of the Fig. 7
-   control-channel series — the documented exception in DESIGN.md §13. *)
-let set_proto_codec ch =
-  Channel.set_codec ch ~encode:(Wire.encode Proto.wire_ext)
-    ~decode:(Wire.decode Proto.wire_ext)
 
 type t = {
   params : Params.t;
@@ -69,14 +59,6 @@ let live_switches t =
       if Edge_switch.is_up es then Some (sw, es) else None)
     (Topology.switches t.topo)
 
-let apply_loss loss_rng spec ch =
-  match spec with
-  | None -> Channel.clear_loss ch
-  | Some spec ->
-      Channel.set_loss ch
-        ~rng:(Prng.named loss_rng ("loss:" ^ Channel.name ch))
-        spec
-
 let create ?(params = Params.default)
     ?(controller_config = Controller.default_config)
     ?(member_config = Member.default_config)
@@ -106,14 +88,19 @@ let create ?(params = Params.default)
   let cut = Array.make n_members false in
   let uplink = Array.make n 0 in
   let terms = Array.make n 0 in
+  (* Switch-facing channels carry encoded §13 frames, like Network's.  The
+     coordination mesh stays value-passing: it is the management plane
+     between controller processes (gossip, views, handoffs), not
+     switch-facing OpenFlow, and its load is not part of the Fig. 7
+     control-channel series — the documented exception in DESIGN.md §13. *)
   let mk_ctrl_channel fmt k i =
     let ch =
       Channel.create ~strict:true engine
         ~latency:params.Params.control_link_latency
         ~name:(Printf.sprintf fmt k i) ()
     in
-    set_proto_codec ch;
-    apply_loss loss_rng params.Params.control_loss ch;
+    Network.set_proto_codec ch;
+    Network.apply_loss loss_rng params.Params.control_loss ch;
     ch
   in
   let up =
@@ -137,22 +124,8 @@ let create ?(params = Params.default)
   let switches : Edge_switch.t option array = Array.make n None in
   let get_switch i = Option.get switches.(i) in
   let peer_channel src dst =
-    let key = (Sid.to_int src, Sid.to_int dst) in
-    match Hashtbl.find_opt peer key with
-    | Some ch -> ch
-    | None ->
-        let ch =
-          Channel.create ~strict:true engine
-            ~latency:params.Params.peer_link_latency
-            ~name:(Printf.sprintf "peer-%d-%d" (fst key) (snd key))
-            ()
-        in
-        set_proto_codec ch;
-        apply_loss loss_rng !peer_loss ch;
-        Channel.set_receiver ch (fun msg ->
-            Edge_switch.handle_peer_message (get_switch (snd key)) ~from:src msg);
-        Hashtbl.replace peer key ch;
-        ch
+    Network.peer_channel engine params ~loss_rng ~peer_loss ~switch:get_switch
+      peer (Sid.to_int src, Sid.to_int dst)
   in
   (* Management-plane claim: reject stale terms with feedback, flip the
      uplink on a winning claim and forward the Rehome to the switch on
@@ -440,59 +413,21 @@ let repair_switch t sw =
   if not (Edge_switch.is_up es) then Edge_switch.set_up es true
 
 let set_control_loss t spec =
-  Array.iter (Array.iter (apply_loss t.loss_rng spec)) t.up;
-  Array.iter (Array.iter (apply_loss t.loss_rng spec)) t.down
+  Array.iter (Array.iter (Network.apply_loss t.loss_rng spec)) t.up;
+  Array.iter (Array.iter (Network.apply_loss t.loss_rng spec)) t.down
 
 let set_peer_loss t spec =
   t.peer_loss := spec;
   List.iter
-    (fun (_, ch) -> apply_loss t.loss_rng spec ch)
+    (fun (_, ch) -> Network.apply_loss t.loss_rng spec ch)
     (Det.bindings_sorted ~cmp:Det.pair_compare t.peer)
 
 (* --- aggregate accounting ------------------------------------------------ *)
 
-let zero_stats : Edge_switch.stats =
-  {
-    packets_from_hosts = 0;
-    packets_delivered = 0;
-    encap_sent = 0;
-    flow_table_handled = 0;
-    lfib_handled = 0;
-    gfib_handled = 0;
-    gfib_duplicates = 0;
-    punted = 0;
-    fp_drops = 0;
-    arp_local_answered = 0;
-    arp_group_escalated = 0;
-    adverts_sent = 0;
-    keepalives_sent = 0;
-    misses_buffered = 0;
-    misses_replayed = 0;
-  }
-
 let switch_stats_sum t =
   Array.fold_left
-    (fun (acc : Edge_switch.stats) sw ->
-      let s = Edge_switch.stats sw in
-      {
-        Edge_switch.packets_from_hosts =
-          acc.packets_from_hosts + s.packets_from_hosts;
-        packets_delivered = acc.packets_delivered + s.packets_delivered;
-        encap_sent = acc.encap_sent + s.encap_sent;
-        flow_table_handled = acc.flow_table_handled + s.flow_table_handled;
-        lfib_handled = acc.lfib_handled + s.lfib_handled;
-        gfib_handled = acc.gfib_handled + s.gfib_handled;
-        gfib_duplicates = acc.gfib_duplicates + s.gfib_duplicates;
-        punted = acc.punted + s.punted;
-        fp_drops = acc.fp_drops + s.fp_drops;
-        arp_local_answered = acc.arp_local_answered + s.arp_local_answered;
-        arp_group_escalated = acc.arp_group_escalated + s.arp_group_escalated;
-        adverts_sent = acc.adverts_sent + s.adverts_sent;
-        keepalives_sent = acc.keepalives_sent + s.keepalives_sent;
-        misses_buffered = acc.misses_buffered + s.misses_buffered;
-        misses_replayed = acc.misses_replayed + s.misses_replayed;
-      })
-    zero_stats t.switches
+    (fun acc sw -> Edge_switch.stats_add acc (Edge_switch.stats sw))
+    Edge_switch.stats_zero t.switches
 
 let ctrl_bytes_sent t =
   let sum acc arr =

@@ -103,6 +103,26 @@ let apply_loss loss_rng spec ch =
   | Some spec ->
       Channel.set_loss ch ~rng:(Prng.named loss_rng ("loss:" ^ Channel.name ch)) spec
 
+(* The directed peer link [key] = (src, dst), created on first use with
+   the plane's current peer loss and registered in [peer]. *)
+let peer_channel engine params ~loss_rng ~peer_loss ~switch peer key =
+  match Hashtbl.find_opt peer key with
+  | Some ch -> ch
+  | None ->
+      let ch =
+        Channel.create ~strict:true engine
+          ~latency:params.Params.peer_link_latency
+          ~name:(Printf.sprintf "peer-%d-%d" (fst key) (snd key))
+          ()
+      in
+      set_proto_codec ch;
+      apply_loss loss_rng !peer_loss ch;
+      Channel.set_receiver ch (fun msg ->
+          Edge_switch.handle_peer_message (switch (snd key))
+            ~from:(Sid.of_int (fst key)) msg);
+      Hashtbl.replace peer key ch;
+      ch
+
 let make_lazy_plane ~params ~controller_config ~tracer ~engine ~topo ~underlay
     ~deliver_local =
   let n = Topology.n_switches topo in
@@ -137,22 +157,8 @@ let make_lazy_plane ~params ~controller_config ~tracer ~engine ~topo ~underlay
     Hashtbl.create 1024
   in
   let peer_channel src dst =
-    let key = (Sid.to_int src, Sid.to_int dst) in
-    match Hashtbl.find_opt peer key with
-    | Some ch -> ch
-    | None ->
-        let ch =
-          Channel.create ~strict:true engine
-            ~latency:params.Params.peer_link_latency
-            ~name:(Printf.sprintf "peer-%d-%d" (fst key) (snd key))
-            ()
-        in
-        set_proto_codec ch;
-        apply_loss loss_rng !peer_loss ch;
-        Channel.set_receiver ch (fun msg ->
-            Edge_switch.handle_peer_message (get_switch (snd key)) ~from:src msg);
-        Hashtbl.replace peer key ch;
-        ch
+    peer_channel engine params ~loss_rng ~peer_loss ~switch:get_switch peer
+      (Sid.to_int src, Sid.to_int dst)
   in
   let relay = Hashtbl.create 8 in
   let service =
@@ -464,51 +470,13 @@ let of_switch t sw =
   | Of_plane p -> Some p.of_switches.(Sid.to_int sw)
   | Lazy_plane _ -> None
 
-let zero_stats : Edge_switch.stats =
-  {
-    packets_from_hosts = 0;
-    packets_delivered = 0;
-    encap_sent = 0;
-    flow_table_handled = 0;
-    lfib_handled = 0;
-    gfib_handled = 0;
-    gfib_duplicates = 0;
-    punted = 0;
-    fp_drops = 0;
-    arp_local_answered = 0;
-    arp_group_escalated = 0;
-    adverts_sent = 0;
-    keepalives_sent = 0;
-    misses_buffered = 0;
-    misses_replayed = 0;
-  }
-
 let switch_stats_sum t =
   match t.plane with
-  | Of_plane _ -> zero_stats
+  | Of_plane _ -> Edge_switch.stats_zero
   | Lazy_plane p ->
       Array.fold_left
-        (fun (acc : Edge_switch.stats) sw ->
-          let s = Edge_switch.stats sw in
-          {
-            Edge_switch.packets_from_hosts =
-              acc.packets_from_hosts + s.packets_from_hosts;
-            packets_delivered = acc.packets_delivered + s.packets_delivered;
-            encap_sent = acc.encap_sent + s.encap_sent;
-            flow_table_handled = acc.flow_table_handled + s.flow_table_handled;
-            lfib_handled = acc.lfib_handled + s.lfib_handled;
-            gfib_handled = acc.gfib_handled + s.gfib_handled;
-            gfib_duplicates = acc.gfib_duplicates + s.gfib_duplicates;
-            punted = acc.punted + s.punted;
-            fp_drops = acc.fp_drops + s.fp_drops;
-            arp_local_answered = acc.arp_local_answered + s.arp_local_answered;
-            arp_group_escalated = acc.arp_group_escalated + s.arp_group_escalated;
-            adverts_sent = acc.adverts_sent + s.adverts_sent;
-            keepalives_sent = acc.keepalives_sent + s.keepalives_sent;
-            misses_buffered = acc.misses_buffered + s.misses_buffered;
-            misses_replayed = acc.misses_replayed + s.misses_replayed;
-          })
-        zero_stats p.switches
+        (fun acc sw -> Edge_switch.stats_add acc (Edge_switch.stats sw))
+        Edge_switch.stats_zero p.switches
 
 let deploy_host t host ~at =
   Topology.add_host t.topo host ~at;
@@ -554,26 +522,12 @@ let repair_control_link t sw =
 
 let peer_key a b = (Sid.to_int a, Sid.to_int b)
 
+(* Creates a missing link before failing it, so future sends on the pair
+   also drop. *)
 let fail_peer_key t (p : lazy_plane) key =
-  match Hashtbl.find_opt p.peer key with
-  | Some ch -> Channel.fail ch
-  | None ->
-      (* Create-and-fail so future sends on this pair also drop. *)
-      let ch =
-        Channel.create ~strict:true t.engine
-          ~latency:t.params.Params.peer_link_latency
-          ~name:(Printf.sprintf "peer-%d-%d" (fst key) (snd key))
-          ()
-      in
-      set_proto_codec ch;
-      apply_loss p.loss_rng !(p.peer_loss) ch;
-      Channel.set_receiver ch (fun msg ->
-          Edge_switch.handle_peer_message
-            p.switches.(snd key)
-            ~from:(Sid.of_int (fst key))
-            msg);
-      Channel.fail ch;
-      Hashtbl.replace p.peer key ch
+  Channel.fail
+    (peer_channel t.engine t.params ~loss_rng:p.loss_rng
+       ~peer_loss:p.peer_loss ~switch:(Array.get p.switches) p.peer key)
 
 let fail_peer_link t a b =
   with_lazy t (fun p ->

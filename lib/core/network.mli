@@ -152,3 +152,31 @@ val ctrl_bytes_sent : t -> int
 val reliability_stats : t -> Lazyctrl_openflow.Reliable.stats
 (** Aggregate over every reliable session in the network — controller-side
     and switch-side. [violations = 0] is the exactly-once invariant. *)
+
+(** {1 Channel wiring shared with the cluster plane} *)
+
+val set_proto_codec : Edge_switch.msg Lazyctrl_openflow.Channel.t -> unit
+(** Plug the DESIGN.md §13 wire codec (with [Proto]'s extension) into a
+    switch-facing channel, so it carries and counts real frames. *)
+
+val apply_loss :
+  Lazyctrl_util.Prng.t ->
+  Lazyctrl_openflow.Channel.loss_spec option ->
+  'a Lazyctrl_openflow.Channel.t ->
+  unit
+(** Attach (or with [None], clear) a loss model drawing from the
+    sub-stream of the given parent keyed by the channel's name. *)
+
+val peer_channel :
+  Engine.t ->
+  Params.t ->
+  loss_rng:Lazyctrl_util.Prng.t ->
+  peer_loss:Lazyctrl_openflow.Channel.loss_spec option ref ->
+  switch:(int -> Edge_switch.t) ->
+  (int * int, Edge_switch.msg Lazyctrl_openflow.Channel.t) Hashtbl.t ->
+  int * int ->
+  Edge_switch.msg Lazyctrl_openflow.Channel.t
+(** [peer_channel engine params ~loss_rng ~peer_loss ~switch peers (src, dst)]
+    is the directed peer link [src -> dst] from [peers], created and
+    registered on first use: named ["peer-SRC-DST"], §13 codec, the
+    current [!peer_loss], delivering to [switch dst]. *)

@@ -360,48 +360,10 @@ let repair_switch t ?at sw =
   | None -> repair ()
   | Some at -> ignore (Engine.schedule_at e ~at repair)
 
-let zero_stats : Edge_switch.stats =
-  {
-    packets_from_hosts = 0;
-    packets_delivered = 0;
-    encap_sent = 0;
-    flow_table_handled = 0;
-    lfib_handled = 0;
-    gfib_handled = 0;
-    gfib_duplicates = 0;
-    punted = 0;
-    fp_drops = 0;
-    arp_local_answered = 0;
-    arp_group_escalated = 0;
-    adverts_sent = 0;
-    keepalives_sent = 0;
-    misses_buffered = 0;
-    misses_replayed = 0;
-  }
-
 let switch_stats_sum t =
   Array.fold_left
-    (fun (acc : Edge_switch.stats) sw ->
-      let s = Edge_switch.stats sw in
-      {
-        Edge_switch.packets_from_hosts =
-          acc.packets_from_hosts + s.packets_from_hosts;
-        packets_delivered = acc.packets_delivered + s.packets_delivered;
-        encap_sent = acc.encap_sent + s.encap_sent;
-        flow_table_handled = acc.flow_table_handled + s.flow_table_handled;
-        lfib_handled = acc.lfib_handled + s.lfib_handled;
-        gfib_handled = acc.gfib_handled + s.gfib_handled;
-        gfib_duplicates = acc.gfib_duplicates + s.gfib_duplicates;
-        punted = acc.punted + s.punted;
-        fp_drops = acc.fp_drops + s.fp_drops;
-        arp_local_answered = acc.arp_local_answered + s.arp_local_answered;
-        arp_group_escalated = acc.arp_group_escalated + s.arp_group_escalated;
-        adverts_sent = acc.adverts_sent + s.adverts_sent;
-        keepalives_sent = acc.keepalives_sent + s.keepalives_sent;
-        misses_buffered = acc.misses_buffered + s.misses_buffered;
-        misses_replayed = acc.misses_replayed + s.misses_replayed;
-      })
-    zero_stats t.switches
+    (fun acc sw -> Edge_switch.stats_add acc (Edge_switch.stats sw))
+    Edge_switch.stats_zero t.switches
 
 let flows_started t =
   Array.fold_left (fun acc m -> acc + Host_model.flows_started m) 0 t.models

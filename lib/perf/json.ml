@@ -1,261 +1,1 @@
-(* Minimal JSON for the bench report schema.
-
-   The repo deliberately has no JSON dependency; the lint and bench
-   reports are simple enough that a ~100-line recursive-descent parser
-   is cheaper than a new package.  Covers the full JSON grammar except
-   \u escapes beyond the BMP (the schema never emits non-ASCII). *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
-
-(* --- printing --------------------------------------------------------------- *)
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let num_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else
-    (* %.17g round-trips any double; trim to the shortest that does. *)
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
-let rec print buf ~indent ~level v =
-  let pad n = String.make (n * indent) ' ' in
-  match v with
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Num f -> Buffer.add_string buf (num_to_string f)
-  | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
-  | List [] -> Buffer.add_string buf "[]"
-  | List items ->
-      Buffer.add_string buf "[\n";
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf (pad (level + 1));
-          print buf ~indent ~level:(level + 1) item)
-        items;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (pad level);
-      Buffer.add_char buf ']'
-  | Obj [] -> Buffer.add_string buf "{}"
-  | Obj fields ->
-      Buffer.add_string buf "{\n";
-      List.iteri
-        (fun i (k, item) ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf (pad (level + 1));
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\": ";
-          print buf ~indent ~level:(level + 1) item)
-        fields;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (pad level);
-      Buffer.add_char buf '}'
-
-let to_string ?(indent = 2) v =
-  let buf = Buffer.create 1024 in
-  print buf ~indent ~level:0 v;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
-
-(* --- parsing ---------------------------------------------------------------- *)
-
-exception Parse_error of string
-
-type state = { src : string; mutable pos : int }
-
-let error st msg =
-  raise (Parse_error (Printf.sprintf "%s at offset %d" msg st.pos))
-
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      skip_ws st
-  | _ -> ()
-
-let expect st c =
-  match peek st with
-  | Some c' when Char.equal c c' -> advance st
-  | _ -> error st (Printf.sprintf "expected '%c'" c)
-
-let expect_lit st lit v =
-  let n = String.length lit in
-  if
-    st.pos + n <= String.length st.src
-    && String.equal (String.sub st.src st.pos n) lit
-  then begin
-    st.pos <- st.pos + n;
-    v
-  end
-  else error st (Printf.sprintf "expected %s" lit)
-
-let parse_string_body st =
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> error st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | Some '"' -> advance st; Buffer.add_char buf '"'; go ()
-        | Some '\\' -> advance st; Buffer.add_char buf '\\'; go ()
-        | Some '/' -> advance st; Buffer.add_char buf '/'; go ()
-        | Some 'n' -> advance st; Buffer.add_char buf '\n'; go ()
-        | Some 't' -> advance st; Buffer.add_char buf '\t'; go ()
-        | Some 'r' -> advance st; Buffer.add_char buf '\r'; go ()
-        | Some 'b' -> advance st; Buffer.add_char buf '\b'; go ()
-        | Some 'f' -> advance st; Buffer.add_char buf '\012'; go ()
-        | Some 'u' ->
-            advance st;
-            if st.pos + 4 > String.length st.src then
-              error st "truncated \\u escape";
-            let hex = String.sub st.src st.pos 4 in
-            let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> error st "bad \\u escape"
-            in
-            st.pos <- st.pos + 4;
-            (* ASCII-only schema: encode the code point as Latin-1 when it
-               fits, '?' otherwise. *)
-            Buffer.add_char buf (if code < 256 then Char.chr code else '?');
-            go ()
-        | _ -> error st "bad escape")
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        go ()
-  in
-  go ();
-  Buffer.contents buf
-
-let parse_number st =
-  let start = st.pos in
-  let is_num_char c =
-    match c with
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
-  let rec go () =
-    match peek st with
-    | Some c when is_num_char c ->
-        advance st;
-        go ()
-    | _ -> ()
-  in
-  go ();
-  if st.pos = start then error st "expected number";
-  let s = String.sub st.src start (st.pos - start) in
-  match float_of_string_opt s with
-  | Some f -> Num f
-  | None -> error st (Printf.sprintf "malformed number %S" s)
-
-let rec parse_value st =
-  skip_ws st;
-  match peek st with
-  | None -> error st "unexpected end of input"
-  | Some '{' ->
-      advance st;
-      skip_ws st;
-      if peek st = Some '}' then begin
-        advance st;
-        Obj []
-      end
-      else begin
-        let rec fields acc =
-          skip_ws st;
-          expect st '"';
-          let k = parse_string_body st in
-          skip_ws st;
-          expect st ':';
-          let v = parse_value st in
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              fields ((k, v) :: acc)
-          | Some '}' ->
-              advance st;
-              List.rev ((k, v) :: acc)
-          | _ -> error st "expected ',' or '}'"
-        in
-        Obj (fields [])
-      end
-  | Some '[' ->
-      advance st;
-      skip_ws st;
-      if peek st = Some ']' then begin
-        advance st;
-        List []
-      end
-      else begin
-        let rec items acc =
-          let v = parse_value st in
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              items (v :: acc)
-          | Some ']' ->
-              advance st;
-              List.rev (v :: acc)
-          | _ -> error st "expected ',' or ']'"
-        in
-        List (items [])
-      end
-  | Some '"' ->
-      advance st;
-      Str (parse_string_body st)
-  | Some 't' -> expect_lit st "true" (Bool true)
-  | Some 'f' -> expect_lit st "false" (Bool false)
-  | Some 'n' -> expect_lit st "null" Null
-  | Some _ -> parse_number st
-
-let of_string s =
-  let st = { src = s; pos = 0 } in
-  match parse_value st with
-  | v ->
-      skip_ws st;
-      if st.pos <> String.length s then Error "trailing garbage after JSON value"
-      else Ok v
-  | exception Parse_error msg -> Error msg
-
-(* --- accessors -------------------------------------------------------------- *)
-
-let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
-
-let to_float = function Num f -> Some f | _ -> None
-
-let to_str = function Str s -> Some s | _ -> None
-
-let to_list = function List l -> Some l | _ -> None
+include Lazyctrl_util.Json

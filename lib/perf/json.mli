@@ -1,24 +1,7 @@
-(** Minimal JSON values, printing and parsing, for the bench report
-    schema ({!Report}).  Full grammar minus astral-plane \u escapes —
-    the schema is ASCII. *)
+(** Re-export of {!Lazyctrl_util.Json}, kept for the [benchmark/] harness,
+    which names [Lazyctrl_perf.Json]; everything else uses the util module
+    directly. *)
 
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
-
-val to_string : ?indent:int -> t -> string
-(** Pretty-print with a trailing newline; [indent] defaults to 2. *)
-
-val of_string : string -> (t, string) result
-(** Parse one JSON value; [Error] carries a message with an offset. *)
-
-val member : string -> t -> t option
-(** Field lookup on [Obj]; [None] on anything else. *)
-
-val to_float : t -> float option
-val to_str : t -> string option
-val to_list : t -> t list option
+include module type of struct
+  include Lazyctrl_util.Json
+end

@@ -15,6 +15,8 @@
    Readers reject any other version outright: a silent best-effort
    parse of a future schema would turn the regression gate into noise. *)
 
+module Json = Lazyctrl_util.Json
+
 let schema_version = 3
 
 let suite = "lazyctrl-bench"
@@ -29,9 +31,9 @@ let to_json ?host_cores (results : Measure.result list) =
   in
   Json.Obj
     [
-      ("schema_version", Json.Num (float_of_int schema_version));
+      ("schema_version", Json.int schema_version);
       ("suite", Json.Str suite);
-      ("host_cores", Json.Num (float_of_int host_cores));
+      ("host_cores", Json.int host_cores);
       ( "benchmarks",
         Json.List
           (List.map
@@ -43,8 +45,8 @@ let to_json ?host_cores (results : Measure.result list) =
                     ("ns_per_op", Json.Num r.ns_per_op);
                     ("alloc_bytes_per_op", Json.Num r.alloc_bytes_per_op);
                     ("minor_words_per_op", Json.Num r.minor_words_per_op);
-                    ("events_fired", Json.Num (float_of_int r.events_fired));
-                    ("domains", Json.Num (float_of_int r.domains));
+                    ("events_fired", Json.int r.events_fired);
+                    ("domains", Json.int r.domains);
                   ]
                  @
                  match r.scaling_efficiency with
@@ -62,6 +64,11 @@ let field_float name obj =
   | Some f -> Ok f
   | None -> Error (Printf.sprintf "missing or non-numeric field %S" name)
 
+let field_int name obj =
+  match Option.bind (Json.member name obj) Json.to_int with
+  | Some n -> Ok n
+  | None -> Error (Printf.sprintf "missing or non-integer field %S" name)
+
 let decode_benchmark obj =
   match Option.bind (Json.member "name" obj) Json.to_str with
   | None -> Error "benchmark entry without a \"name\" string"
@@ -70,8 +77,8 @@ let decode_benchmark obj =
       let* ns_per_op = field_float "ns_per_op" obj in
       let* alloc_bytes_per_op = field_float "alloc_bytes_per_op" obj in
       let* minor_words_per_op = field_float "minor_words_per_op" obj in
-      let* events_fired = field_float "events_fired" obj in
-      let* domains = field_float "domains" obj in
+      let* events_fired = field_int "events_fired" obj in
+      let* domains = field_int "domains" obj in
       let scaling_efficiency =
         Option.bind (Json.member "scaling_efficiency" obj) Json.to_float
       in
@@ -82,19 +89,19 @@ let decode_benchmark obj =
           ns_per_op;
           alloc_bytes_per_op;
           minor_words_per_op;
-          events_fired = int_of_float events_fired;
-          domains = int_of_float domains;
+          events_fired;
+          domains;
           scaling_efficiency;
         }
 
 let doc_of_json json =
-  let* version = field_float "schema_version" json in
-  if int_of_float version <> schema_version then
+  let* version = field_int "schema_version" json in
+  if version <> schema_version then
     Error
-      (Printf.sprintf "unsupported schema_version %g (this reader knows %d)"
+      (Printf.sprintf "unsupported schema_version %d (this reader knows %d)"
          version schema_version)
   else
-    let* host_cores = field_float "host_cores" json in
+    let* host_cores = field_int "host_cores" json in
     match Option.bind (Json.member "benchmarks" json) Json.to_list with
     | None -> Error "missing \"benchmarks\" array"
     | Some entries ->
@@ -105,7 +112,7 @@ let doc_of_json json =
             Ok (r :: acc))
           (Ok []) entries
         |> Result.map (fun rev ->
-               { host_cores = int_of_float host_cores; results = List.rev rev })
+               { host_cores; results = List.rev rev })
 
 let doc_of_string s =
   let* json = Json.of_string s in

@@ -65,6 +65,44 @@ type stats = {
   misses_replayed : int;
 }
 
+let stats_zero =
+  {
+    packets_from_hosts = 0;
+    packets_delivered = 0;
+    encap_sent = 0;
+    flow_table_handled = 0;
+    lfib_handled = 0;
+    gfib_handled = 0;
+    gfib_duplicates = 0;
+    punted = 0;
+    fp_drops = 0;
+    arp_local_answered = 0;
+    arp_group_escalated = 0;
+    adverts_sent = 0;
+    keepalives_sent = 0;
+    misses_buffered = 0;
+    misses_replayed = 0;
+  }
+
+let stats_add a b =
+  {
+    packets_from_hosts = a.packets_from_hosts + b.packets_from_hosts;
+    packets_delivered = a.packets_delivered + b.packets_delivered;
+    encap_sent = a.encap_sent + b.encap_sent;
+    flow_table_handled = a.flow_table_handled + b.flow_table_handled;
+    lfib_handled = a.lfib_handled + b.lfib_handled;
+    gfib_handled = a.gfib_handled + b.gfib_handled;
+    gfib_duplicates = a.gfib_duplicates + b.gfib_duplicates;
+    punted = a.punted + b.punted;
+    fp_drops = a.fp_drops + b.fp_drops;
+    arp_local_answered = a.arp_local_answered + b.arp_local_answered;
+    arp_group_escalated = a.arp_group_escalated + b.arp_group_escalated;
+    adverts_sent = a.adverts_sent + b.adverts_sent;
+    keepalives_sent = a.keepalives_sent + b.keepalives_sent;
+    misses_buffered = a.misses_buffered + b.misses_buffered;
+    misses_replayed = a.misses_replayed + b.misses_replayed;
+  }
+
 type designated_state = {
   mutable buffered_deltas : Proto.lfib_delta list; (* newest first *)
   buffered_intensity : (int * int, int) Hashtbl.t;

@@ -70,6 +70,10 @@ type stats = {
   misses_replayed : int;        (** buffered punts re-sent on reconnect *)
 }
 
+val stats_zero : stats
+val stats_add : stats -> stats -> stats
+(** Field-wise sum, for aggregating over a plane's switches. *)
+
 type t
 
 val create :

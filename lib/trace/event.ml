@@ -1,4 +1,5 @@
 module Time = Lazyctrl_sim.Time
+module Json = Lazyctrl_util.Json
 
 type span = { at : Time.t; sn : int }
 
@@ -140,58 +141,57 @@ let args_of_kind = function
   | Ingress | Flow_table_hit | Lfib_hit | Bloom_fp | Deliver | Arp_local
   | Arp_group | Arp_escalate | Ctrl_packet_in | Ctrl_arp_relay | Ctrl_flood ->
       []
-  | Gfib_probe n -> [ ("matches", Tjson.Int n) ]
-  | Punt reason -> [ ("reason", Tjson.String reason) ]
-  | Designated_relay what -> [ ("what", Tjson.String what) ]
-  | Ctrl_request req -> [ ("req", Tjson.String req) ]
-  | Ctrl_install target -> [ ("target", Tjson.Int target) ]
+  | Gfib_probe n -> [ ("matches", Json.int n) ]
+  | Punt reason -> [ ("reason", Json.Str reason) ]
+  | Designated_relay what -> [ ("what", Json.Str what) ]
+  | Ctrl_request req -> [ ("req", Json.Str req) ]
+  | Ctrl_install target -> [ ("target", Json.int target) ]
   | Regroup r ->
-      [ ("full", Tjson.Bool r.full); ("groups", Tjson.Int r.groups) ]
+      [ ("full", Json.Bool r.full); ("groups", Json.int r.groups) ]
   | Chaos_fault c ->
-      [ ("fault", Tjson.String c.fault); ("phase", Tjson.String c.phase) ]
-  | Failover verdict -> [ ("verdict", Tjson.String verdict) ]
-  | Retransmit session -> [ ("session", Tjson.String session) ]
-  | Reliable_giveup session -> [ ("session", Tjson.String session) ]
+      [ ("fault", Json.Str c.fault); ("phase", Json.Str c.phase) ]
+  | Failover verdict -> [ ("verdict", Json.Str verdict) ]
+  | Retransmit session -> [ ("session", Json.Str session) ]
+  | Reliable_giveup session -> [ ("session", Json.Str session) ]
 
 let to_json e =
-  let opt_int = function None -> Tjson.Null | Some n -> Tjson.Int n in
+  let opt_int = function None -> Json.Null | Some n -> Json.int n in
   let parent =
     match e.parent with
-    | None -> Tjson.Null
-    | Some s -> Tjson.List [ Tjson.Int (Time.to_ns s.at); Tjson.Int s.sn ]
+    | None -> Json.Null
+    | Some s -> Json.List [ Json.int (Time.to_ns s.at); Json.int s.sn ]
   in
-  Tjson.Obj
+  Json.Obj
     ([
-       ("ts", Tjson.Int (Time.to_ns e.time));
-       ("seq", Tjson.Int e.seq);
+       ("ts", Json.int (Time.to_ns e.time));
+       ("seq", Json.int e.seq);
        ("flow", opt_int e.flow);
        ("sw", opt_int e.switch);
        ("parent", parent);
-       ("kind", Tjson.String (kind_label e.kind));
+       ("kind", Json.Str (kind_label e.kind));
      ]
     @ args_of_kind e.kind)
 
 let ( let* ) r f = Result.bind r f
 
 let field name j =
-  match Tjson.member name j with
+  match Json.member name j with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing field %S" name)
 
-let int_field name j =
+let typed what conv name j =
   let* v = field name j in
-  Tjson.to_int v
+  match conv v with
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf "field %S: expected %s" name what)
 
-let str_field name j =
-  let* v = field name j in
-  Tjson.to_str v
+let int_field = typed "integer" Json.to_int
+let str_field = typed "string" Json.to_str
 
-let opt_int_field name j =
-  let* v = field name j in
-  match v with
-  | Tjson.Null -> Ok None
-  | Tjson.Int n -> Ok (Some n)
-  | _ -> Error (Printf.sprintf "field %S: expected integer or null" name)
+let opt_int_field =
+  typed "integer or null" (function
+    | Json.Null -> Some None
+    | v -> Option.map Option.some (Json.to_int v))
 
 let kind_of_json j =
   let* label = str_field "kind" j in
@@ -223,8 +223,7 @@ let kind_of_json j =
   | "ctrl_arp_relay" -> Ok Ctrl_arp_relay
   | "ctrl_flood" -> Ok Ctrl_flood
   | "regroup" ->
-      let* full = field "full" j in
-      let* full = Tjson.to_bool full in
+      let* full = typed "bool" Json.to_bool "full" j in
       let* groups = int_field "groups" j in
       Ok (Regroup { full; groups })
   | "chaos_fault" ->
@@ -249,11 +248,14 @@ let of_json j =
   let* switch = opt_int_field "sw" j in
   let* parent =
     let* v = field "parent" j in
+    let bad = Error "field \"parent\": expected null or [ts, seq]" in
     match v with
-    | Tjson.Null -> Ok None
-    | Tjson.List [ Tjson.Int at; Tjson.Int sn ] ->
-        Ok (Some { at = Time.of_ns at; sn })
-    | _ -> Error "field \"parent\": expected null or [ts, seq]"
+    | Json.Null -> Ok None
+    | Json.List [ at; sn ] -> (
+        match (Json.to_int at, Json.to_int sn) with
+        | Some at, Some sn -> Ok (Some { at = Time.of_ns at; sn })
+        | _ -> bad)
+    | _ -> bad
   in
   let* kind = kind_of_json j in
   Ok { time = Time.of_ns ts; seq; flow; switch; parent; kind }
@@ -267,9 +269,9 @@ let pp ppf e =
     List.iter
       (fun (k, v) ->
         match v with
-        | Tjson.Int n -> Format.fprintf ppf " %s=%d" k n
-        | Tjson.String s -> Format.fprintf ppf " %s=%s" k s
-        | Tjson.Bool b -> Format.fprintf ppf " %s=%b" k b
+        | Json.Num n -> Format.fprintf ppf " %s=%.0f" k n
+        | Json.Str s -> Format.fprintf ppf " %s=%s" k s
+        | Json.Bool b -> Format.fprintf ppf " %s=%b" k b
         | _ -> ())
       args
   in

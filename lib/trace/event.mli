@@ -97,9 +97,9 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Span order: [(time, seq)] lexicographically. *)
 
-val to_json : t -> Tjson.t
+val to_json : t -> Lazyctrl_util.Json.t
 (** Deterministic field order; all numbers are integers (timestamps in
     nanoseconds), so rendering is byte-stable across runs. *)
 
-val of_json : Tjson.t -> (t, string) result
+val of_json : Lazyctrl_util.Json.t -> (t, string) result
 val pp : Format.formatter -> t -> unit

@@ -1,4 +1,5 @@
 module Time = Lazyctrl_sim.Time
+module Json = Lazyctrl_util.Json
 
 (* --- JSONL ----------------------------------------------------------------- *)
 
@@ -6,7 +7,7 @@ let to_jsonl events =
   let buf = Buffer.create 4096 in
   List.iter
     (fun e ->
-      Tjson.to_buffer buf (Event.to_json e);
+      Json.to_buffer buf (Event.to_json e);
       Buffer.add_char buf '\n')
     events;
   Buffer.contents buf
@@ -18,7 +19,7 @@ let of_jsonl data =
     | line :: rest when String.length (String.trim line) = 0 ->
         go acc (lineno + 1) rest
     | line :: rest -> (
-        match Result.bind (Tjson.of_string line) Event.of_json with
+        match Result.bind (Json.of_string line) Event.of_json with
         | Ok e -> go (e :: acc) (lineno + 1) rest
         | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in
@@ -32,16 +33,16 @@ let chrome_of_event (e : Event.t) =
   let pid, tid =
     match e.Event.switch with Some sw -> (1, sw) | None -> (2, 0)
   in
-  Tjson.Obj
+  Json.Obj
     [
-      ("name", Tjson.String (Event.kind_label e.Event.kind));
-      ("cat", Tjson.String "lazyctrl");
-      ("ph", Tjson.String "i");
-      ("ts", Tjson.Int (Time.to_ns e.Event.time / 1_000));
-      ("pid", Tjson.Int pid);
-      ("tid", Tjson.Int tid);
-      ("s", Tjson.String "t");
-      ("args", Tjson.Obj [ ("ev", Event.to_json e) ]);
+      ("name", Json.Str (Event.kind_label e.Event.kind));
+      ("cat", Json.Str "lazyctrl");
+      ("ph", Json.Str "i");
+      ("ts", Json.int (Time.to_ns e.Event.time / 1_000));
+      ("pid", Json.int pid);
+      ("tid", Json.int tid);
+      ("s", Json.Str "t");
+      ("args", Json.Obj [ ("ev", Event.to_json e) ]);
     ]
 
 let to_chrome events =
@@ -50,24 +51,24 @@ let to_chrome events =
   List.iteri
     (fun i e ->
       if i > 0 then Buffer.add_char buf ',';
-      Tjson.to_buffer buf (chrome_of_event e))
+      Json.to_buffer buf (chrome_of_event e))
     events;
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
 let of_chrome data =
-  match Tjson.of_string data with
+  match Json.of_string data with
   | Error msg -> Error msg
   | Ok j -> (
-      match Tjson.member "traceEvents" j with
-      | Some (Tjson.List items) ->
+      match Json.member "traceEvents" j with
+      | Some (Json.List items) ->
           let rec go acc i = function
             | [] -> Ok (List.rev acc)
             | item :: rest -> (
                 let ev =
-                  match Tjson.member "args" item with
+                  match Json.member "args" item with
                   | Some args -> (
-                      match Tjson.member "ev" args with
+                      match Json.member "ev" args with
                       | Some ev -> Event.of_json ev
                       | None -> Error "missing args.ev")
                   | None -> Error "missing args"

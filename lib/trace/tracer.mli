@@ -4,8 +4,9 @@
     The disabled singleton {!disabled} is the default everywhere, and
     instrumentation sites guard with {!enabled} before building event
     payloads, so a run without tracing pays one load-and-branch per
-    decision point — the overhead budget is checked by the
-    [trace-overhead] bench target.
+    decision point — a cost inside the [packet-replay] bench row, which
+    runs untraced; the [trace-overhead] target prices an enabled tracer
+    against it.
 
     Determinism: span ids are [(sim-time, per-tracer sequence number)];
     no wall clock, no randomness, no hash-order dependence (cross-flow

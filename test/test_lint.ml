@@ -502,9 +502,9 @@ let layering_tests =
         let fs = Layering.check (fixture_cg ()) in
         Alcotest.(check int) "exactly the two planted violations" 2
           (List.length fs));
-    Alcotest.test_case "spec sanity: analysis depends on nothing" `Quick
+    Alcotest.test_case "spec sanity: analysis depends only on util" `Quick
       (fun () ->
-        Alcotest.(check (list string)) "no deps declared" []
+        Alcotest.(check (list string)) "only util's JSON declared" [ "util" ]
           (Option.value ~default:[ "missing" ]
              (List.assoc_opt "analysis" Layering.allowed_deps));
         Alcotest.(check bool) "Proto is the controller surface" true
@@ -644,6 +644,128 @@ let driver_tests =
               (has Rules.d_wall_clock x_only.Driver.findings);
             Alcotest.(check int) "X entry stale once X runs" 1
               (List.length x_only.Driver.stale)));
+  ]
+
+(* --- JSON reports ------------------------------------------------------------ *)
+
+(* Every lint report is parsed back through the shared JSON module, so a
+   malformed rendering fails here rather than in a CI consumer. *)
+module Json = Lazyctrl_util.Json
+
+let parse_report what text =
+  match Json.of_string text with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "%s is not valid JSON: %s" what e
+
+let path j keys = List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) keys
+
+let list_at j keys =
+  match Option.bind (path j keys) Json.to_list with
+  | Some l -> l
+  | None -> Alcotest.failf "no list at %s" (String.concat "." keys)
+
+let json_report_tests =
+  [
+    Alcotest.test_case "report_to_json and SARIF parse back" `Quick (fun () ->
+        with_tmp_tree (fun root ->
+            write_file
+              (Filename.concat root "lib/fixlib/dirty.ml")
+              "let t () = Sys.time ()\nlet u () = Random.int 3";
+            write_file
+              (Filename.concat root "lib/fixlib/dirty.mli")
+              "val t : unit -> float\nval u : unit -> int";
+            let allow = Filename.concat root ".allow" in
+            write_file allow
+              "lib/fixlib/dirty.ml D002-raw-random \"quoted\" \\ reason\n";
+            let report = Driver.run ~root ~allow_path:allow () in
+            let j = parse_report "report_to_json" (Driver.report_to_json report) in
+            Alcotest.(check int) "findings count"
+              (List.length report.Driver.findings)
+              (List.length (list_at j [ "findings" ]));
+            Alcotest.(check int) "suppressed count"
+              (List.length report.Driver.suppressed)
+              (List.length (list_at j [ "suppressed" ]));
+            Alcotest.(check (option bool)) "clean matches Driver.clean"
+              (Some (Driver.clean report))
+              (Option.bind (Json.member "clean" j) Json.to_bool);
+            Alcotest.(check (option int)) "files_scanned"
+              (Some report.Driver.files_scanned)
+              (Option.bind (Json.member "files_scanned" j) Json.to_int);
+            let sarif =
+              parse_report "SARIF" (Sarif.of_findings report.Driver.findings)
+            in
+            Alcotest.(check (option string)) "SARIF version" (Some "2.1.0")
+              (Option.bind (Json.member "version" sarif) Json.to_str);
+            match list_at sarif [ "runs" ] with
+            | [ run ] ->
+                Alcotest.(check int) "one result per finding"
+                  (List.length report.Driver.findings)
+                  (List.length (list_at run [ "results" ]));
+                Alcotest.(check int) "one rule per catalog entry"
+                  (List.length Rules.all)
+                  (List.length (list_at run [ "tool"; "driver"; "rules" ]))
+            | _ -> Alcotest.fail "SARIF must carry exactly one run"));
+    Alcotest.test_case "SARIF escapes messages losslessly" `Quick (fun () ->
+        let message = "a \"quoted\" \\ path\n\ttab \001 caf\xc3\xa9" in
+        let f =
+          Finding.make ~file:"lib/x.ml" ~line:0 ~col:3 ~rule:Rules.d_raw_random
+            ~severity:Finding.Warning message
+        in
+        let sarif = parse_report "SARIF" (Sarif.of_findings [ f ]) in
+        match list_at sarif [ "runs" ] with
+        | [ run ] -> (
+            match list_at run [ "results" ] with
+            | [ r ] ->
+                Alcotest.(check (option string)) "message" (Some message)
+                  (Option.bind (path r [ "message"; "text" ]) Json.to_str);
+                Alcotest.(check (option string)) "level" (Some "warning")
+                  (Option.bind (Json.member "level" r) Json.to_str);
+                (match list_at r [ "locations" ] with
+                | [ loc ] ->
+                    let region = [ "physicalLocation"; "region" ] in
+                    Alcotest.(check (option int)) "line clamped to 1" (Some 1)
+                      (Option.bind (path loc (region @ [ "startLine" ])) Json.to_int);
+                    Alcotest.(check (option int)) "1-based column" (Some 4)
+                      (Option.bind (path loc (region @ [ "startColumn" ])) Json.to_int)
+                | _ -> Alcotest.fail "one location")
+            | _ -> Alcotest.fail "one result")
+        | _ -> Alcotest.fail "one run");
+    Alcotest.test_case "ownership report parses back" `Quick (fun () ->
+        with_tmp_tree (fun root ->
+            write_file
+              (Filename.concat root "lib/fixlib/counter.ml")
+              "let hits = ref 0\nlet bump () = incr hits";
+            let j =
+              parse_report "ownership report"
+                (Driver.ownership_report_json ~root ())
+            in
+            Alcotest.(check int) "one entry per spec entry point"
+              (List.length Ownership.default.Ownership.entries)
+              (List.length (list_at j [ "entries" ]));
+            let files =
+              List.filter_map
+                (fun m -> Option.bind (Json.member "file" m) Json.to_str)
+                (list_at j [ "modules" ])
+            in
+            Alcotest.(check bool) "mutable module listed" true
+              (List.mem "lib/fixlib/counter.ml" files)));
+    Alcotest.test_case "hotpath report parses back" `Quick (fun () ->
+        with_tmp_tree (fun root ->
+            let r =
+              Driver.hotpath_check ~root
+                ~allow_path:(Filename.concat root ".allow")
+                ~budget_path:"HOTPATH_budget" ~measured:[] ()
+            in
+            let j = parse_report "hotpath report" (Driver.hotpath_report_json r) in
+            Alcotest.(check (option bool)) "clean matches Driver.hotpath_clean"
+              (Some (Driver.hotpath_clean r))
+              (Option.bind (Json.member "clean" j) Json.to_bool);
+            Alcotest.(check int) "findings count"
+              (List.length r.Driver.hp_findings)
+              (List.length (list_at j [ "findings" ]));
+            Alcotest.(check int) "one row per probe"
+              (List.length r.Driver.hp_rows)
+              (List.length (list_at j [ "probes" ]))));
   ]
 
 (* --- S00x: domain safety ----------------------------------------------------- *)
@@ -1076,4 +1198,5 @@ let () =
       ("callgraph-notes", callgraph_notes_tests);
       ("architecture-doc", architecture_doc_tests);
       ("driver", driver_tests);
+      ("json-reports", json_report_tests);
     ]

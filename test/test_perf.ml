@@ -257,6 +257,38 @@ let test_report_v3_fields () =
             (Option.get d4.Measure.scaling_efficiency)
       | _ -> Alcotest.fail "wrong benchmark count")
 
+(* Integer fields are read strictly: a fractional schema_version or
+   count is a malformed report, not one to truncate. *)
+let test_report_rejects_fractional_ints () =
+  let module Json = Lazyctrl_util.Json in
+  let base =
+    match Json.of_string (Report.to_string ~host_cores:2 [ mk "x" 1.0 ]) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "report does not parse: %s" e
+  in
+  let rec set key v = function
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, x) -> (k, if String.equal k key then v else set key v x))
+             fields)
+    | Json.List items -> Json.List (List.map (set key v) items)
+    | other -> other
+  in
+  let rejected key f =
+    match Report.doc_of_string (Json.to_string (set key (Json.Num f) base)) with
+    | Ok _ -> Alcotest.failf "%s = %g must be rejected" key f
+    | Error e -> check Alcotest.bool "error names the field" true (contains e key)
+  in
+  rejected "schema_version" 3.5;
+  rejected "schema_version" 3.99;
+  rejected "host_cores" 2.7;
+  rejected "events_fired" 1.5;
+  rejected "domains" 1.25;
+  match Report.doc_of_string (Json.to_string base) with
+  | Ok doc -> check Alcotest.int "integral fields still load" 2 doc.Report.host_cores
+  | Error e -> Alcotest.failf "unmodified report rejected: %s" e
+
 let test_compare_scaling_gate () =
   let floor = Compare.scaling_floor in
   check (Alcotest.float 1e-12) "floor is 2.5x at 4 domains" (2.5 /. 4.) floor;
@@ -321,6 +353,8 @@ let () =
           Alcotest.test_case "save/load" `Quick test_report_save_load;
           Alcotest.test_case "v3 domains/host_cores" `Quick
             test_report_v3_fields;
+          Alcotest.test_case "fractional integer fields rejected" `Quick
+            test_report_rejects_fractional_ints;
         ] );
       ( "compare",
         [

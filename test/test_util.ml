@@ -1,4 +1,5 @@
-(* Tests for lazyctrl.util: PRNG, heaps, union-find, statistics, tables. *)
+(* Tests for lazyctrl.util: PRNG, heaps, union-find, statistics, tables,
+   JSON. *)
 
 module Prng = Lazyctrl_util.Prng
 module Intmap = Lazyctrl_util.Intmap
@@ -6,6 +7,7 @@ module Heap = Lazyctrl_util.Heap
 module Union_find = Lazyctrl_util.Union_find
 module Stats = Lazyctrl_util.Stats
 module Table = Lazyctrl_util.Table
+module Json = Lazyctrl_util.Json
 
 let check = Alcotest.check
 let qtest ?(count = 200) name gen prop =
@@ -411,6 +413,106 @@ let test_table_cells () =
   check Alcotest.string "decimals" "1.500" (Table.cell_float ~decimals:3 1.5);
   check Alcotest.string "int" "42" (Table.cell_int 42)
 
+(* --- JSON --------------------------------------------------------------- *)
+
+let compact j =
+  let buf = Buffer.create 64 in
+  Json.to_buffer buf j;
+  Buffer.contents buf
+
+let json_result =
+  Alcotest.result
+    (Alcotest.testable (fun ppf j -> Format.pp_print_string ppf (compact j)) ( = ))
+    Alcotest.string
+
+let test_json_numbers () =
+  check Alcotest.string "integral" "[3,-7,1000000000000000,0.1,1.5e+300]"
+    (compact (Json.List Json.[ Num 3.; Num (-7.); Num 1e15; Num 0.1; Num 1.5e300 ]));
+  check Alcotest.string "2^53 - 1 stays an integer" "9007199254740991"
+    (compact (Json.Num 9007199254740991.));
+  check Alcotest.string "non-finite prints null" "[null,null,null]"
+    (compact (Json.List Json.[ Num nan; Num infinity; Num neg_infinity ]));
+  check Alcotest.string "pretty non-finite prints null" "null\n"
+    (Json.to_string (Json.Num nan));
+  check Alcotest.bool "1e400 is out of range" true
+    (Result.is_error (Json.of_string "1e400"));
+  check (Alcotest.option Alcotest.int) "to_int integral" (Some 42)
+    (Json.to_int (Json.Num 42.));
+  check (Alcotest.option Alcotest.int) "to_int fractional" None
+    (Json.to_int (Json.Num 3.5));
+  check (Alcotest.option Alcotest.int) "to_int on a string" None
+    (Json.to_int (Json.Str "3"))
+
+let test_json_unicode_escapes () =
+  check json_result "BMP escape decodes to UTF-8" (Ok (Json.Str "caf\xc3\xa9"))
+    (Json.of_string {|"caf\u00e9"|});
+  check json_result "surrogate pair decodes to one code point"
+    (Ok (Json.Str "\xf0\x9f\x98\x80"))
+    (Json.of_string {|"\ud83d\ude00"|});
+  List.iter
+    (fun doc ->
+      check Alcotest.bool (doc ^ " is an error") true
+        (Result.is_error (Json.of_string doc)))
+    [ {|"\ud800"|}; {|"\udc00"|}; {|"\ud800\u0041"|}; {|"\u12"|}; {|"\u+123"|} ]
+
+(* Finite trees only: JSON has no NaN or infinity. *)
+let json_gen =
+  let open QCheck2.Gen in
+  let num =
+    oneof
+      [
+        map float_of_int (int_range (-1_000_000_000) 1_000_000_000);
+        map (fun f -> if Float.is_finite f then f else 0.) float;
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        pure Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Num f) num;
+        map (fun s -> Json.Str s) string_small;
+      ]
+  in
+  sized_size (int_bound 20)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           oneof
+             [
+               leaf;
+               map (fun l -> Json.List l) (list_size (int_bound 4) (self (n / 2)));
+               map
+                 (fun l -> Json.Obj l)
+                 (list_size (int_bound 4) (pair string_small (self (n / 2))));
+             ])
+
+let test_json_round_trip =
+  qtest "json: both renderings parse back" json_gen (fun t ->
+      Json.of_string (Json.to_string t) = Ok t && Json.of_string (compact t) = Ok t)
+
+(* Byte substitutions, deletions and insertions of a valid document,
+   biased towards JSON's structural and escape characters. *)
+let test_json_parser_total =
+  let edit =
+    QCheck2.Gen.(
+      triple (int_bound 2) nat
+        (oneof [ char; oneofl [ '\\'; 'u'; '"'; '['; '{'; ':'; ','; 'D'; '8'; 'e'; '-'; '.' ] ]))
+  in
+  qtest ~count:500 "json: mutated documents never raise"
+    QCheck2.Gen.(pair json_gen (list_size (int_range 1 6) edit))
+    (fun (t, edits) ->
+      let apply s (kind, pos, c) =
+        let n = String.length s in
+        let i = if n = 0 then 0 else pos mod n in
+        match kind with
+        | 0 when n > 0 -> String.mapi (fun j x -> if j = i then c else x) s
+        | 1 when n > 0 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+        | _ -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+      in
+      let doc = List.fold_left apply (Json.to_string t) edits in
+      match Json.of_string doc with Ok _ | Error _ -> true)
+
 let () =
   Alcotest.run "util"
     [
@@ -460,5 +562,12 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "cells" `Quick test_table_cells;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "numbers" `Quick test_json_numbers;
+          Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes;
+          test_json_round_trip;
+          test_json_parser_total;
         ] );
     ]
