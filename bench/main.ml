@@ -383,8 +383,9 @@ let perf_gfib_probe ?(name = "gfib-probe") () =
 
 (* packet-replay: end-to-end — a small lazy-mode network, per-tenant
    traffic, everything from ARP resolution through G-FIB encap to
-   delivery.  Ops are delivered packets; events are engine firings. *)
-let replay_scenario ?tracer () =
+   delivery.  Ops are delivered packets; events are engine firings.
+   [shards]/[domains] give the sharded variant (packet-replay-dN). *)
+let replay_scenario ?tracer ?shards ?domains () =
   let module Time = Lazyctrl_sim.Time in
   let module Network = Lazyctrl_core.Network in
   let module Placement = Lazyctrl_topo.Placement in
@@ -403,7 +404,8 @@ let replay_scenario ?tracer () =
       }
   in
   let net =
-    Network.create ?tracer ~mode:Network.Lazy ~topo ~horizon:(Time.of_min 5) ()
+    Network.create ?tracer ?shards ?domains ~mode:Network.Lazy ~topo
+      ~horizon:(Time.of_min 5) ()
   in
   Network.bootstrap net ();
   Network.run net ~until:(Time.of_sec 10);
@@ -445,8 +447,8 @@ let perf_packet_replay () =
        ~events:(fun () -> !events)
        workload)
 
-(* packet-replay-dN: the packet-replay scenario on the domain-parallel
-   sharded engine (Shard_net) at 1, 2 and 4 domains.  The logical
+(* packet-replay-dN: the packet-replay scenario on the network sharded
+   by LCG (4 logical switch shards) at 1, 2 and 4 domains.  The logical
    shard count is fixed (4), so all three runs execute the identical
    event schedule — the probe checks their fingerprints are
    byte-identical before timing anything, then reports the d2/d4 rows
@@ -454,45 +456,12 @@ let perf_packet_replay () =
    scaling gate (floor 2.5x at 4 domains, gated only on hosts with
    enough cores).  Exchange statistics from the verification runs are
    emitted via --exchange-json for the CI artifact. *)
-let shard_replay_scenario ~domains () =
-  let module Time = Lazyctrl_sim.Time in
-  let module Shard_net = Lazyctrl_core.Shard_net in
-  let module Placement = Lazyctrl_topo.Placement in
-  let module Topology = Lazyctrl_topo.Topology in
-  let packets_per_flow = if !quick then 6 else 12 in
-  let topo =
-    Placement.generate
-      ~rng:(Lazyctrl_util.Prng.create 5)
-      {
-        Placement.n_switches = 8;
-        n_tenants = 4;
-        tenant_size_min = 6;
-        tenant_size_max = 10;
-        racks_per_tenant = 2;
-        stray_fraction = 0.1;
-      }
-  in
-  let net = Shard_net.create ~domains ~topo ~horizon:(Time.of_min 5) () in
-  Shard_net.bootstrap net;
-  Shard_net.run net ~until:(Time.of_sec 10);
-  List.iter
-    (fun tenant ->
-      match Topology.tenant_hosts topo tenant with
-      | first :: rest ->
-          List.iter
-            (fun (peer : Lazyctrl_net.Host.t) ->
-              Shard_net.start_flow net ~src:first.Lazyctrl_net.Host.id
-                ~dst:peer.id ~bytes:20_000 ~packets:packets_per_flow)
-            rest
-      | [] -> ())
-    (Topology.tenants topo);
-  Shard_net.run net ~until:(Time.of_min 3);
-  net
+let shard_replay_scenario ~domains () = replay_scenario ~shards:4 ~domains ()
 
 let exchange_stats : (int * Lazyctrl_sim.Shard_engine.stats) list ref = ref []
 
 let perf_shard_replay () =
-  let module Shard_net = Lazyctrl_core.Shard_net in
+  let module Network = Lazyctrl_core.Network in
   let domain_counts = [ 1; 2; 4 ] in
   (* One verification run per domain count: fingerprints must agree
      byte-for-byte before throughput means anything.  These runs also
@@ -501,14 +470,14 @@ let perf_shard_replay () =
     List.map
       (fun domains ->
         let net = shard_replay_scenario ~domains () in
-        let fp = Shard_net.fingerprint net in
+        let fp = Network.fingerprint net in
         let delivered =
-          (Shard_net.switch_stats_sum net).Lazyctrl_switch.Edge_switch
+          (Network.switch_stats_sum net).Lazyctrl_switch.Edge_switch
             .packets_delivered
         in
         exchange_stats :=
-          (domains, (Shard_net.stats net).Shard_net.engine) :: !exchange_stats;
-        Shard_net.shutdown net;
+          (domains, (Network.stats net).Network.engine) :: !exchange_stats;
+        Network.shutdown net;
         (domains, fp, delivered))
       domain_counts
   in
@@ -536,8 +505,8 @@ let perf_shard_replay () =
       ~events:(fun () -> !events)
       (fun () ->
         let net = shard_replay_scenario ~domains () in
-        events := (Shard_net.stats net).Shard_net.engine.Lazyctrl_sim.Shard_engine.events;
-        Shard_net.shutdown net)
+        events := (Network.stats net).Network.engine.Lazyctrl_sim.Shard_engine.events;
+        Network.shutdown net)
   in
   let d1 = measure 1 in
   perf_record d1;

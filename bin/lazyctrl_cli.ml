@@ -553,30 +553,30 @@ let shard_check seed switches tenants domains shards =
   let run_once ~domains =
     let topo = Placement.generate ~rng:(Prng.create seed) spec in
     let net =
-      Shard_net.create ?domains
-        ?shards:(if shards > 0 then Some shards else None)
-        ~topo ~horizon:(Time.of_min 5) ()
+      Network.create ?domains
+        ~shards:(if shards > 0 then shards else 4)
+        ~mode:Network.Lazy ~topo ~horizon:(Time.of_min 5) ()
     in
-    Shard_net.bootstrap net;
-    Shard_net.run net ~until:(Time.of_sec 5);
+    Network.bootstrap net ();
+    Network.run net ~until:(Time.of_sec 5);
     List.iter
       (fun tenant ->
         match Topology.tenant_hosts topo tenant with
         | first :: rest ->
             List.iter
               (fun (peer : Lazyctrl_net.Host.t) ->
-                Shard_net.start_flow net ~src:first.Lazyctrl_net.Host.id
+                Network.start_flow net ~src:first.Lazyctrl_net.Host.id
                   ~dst:peer.id ~bytes:12_000 ~packets:5)
               rest
         | [] -> ())
       (Topology.tenants topo);
-    Shard_net.run net ~until:(Time.of_min 3);
-    let fp = Shard_net.fingerprint net in
-    let st = Shard_net.stats net in
-    let d = Shard_net.domains net in
-    let s = Shard_net.switch_shards net in
-    let w = Shard_net.window net in
-    Shard_net.shutdown net;
+    Network.run net ~until:(Time.of_min 3);
+    let fp = Network.fingerprint net in
+    let st = Network.stats net in
+    let d = Network.domains net in
+    let s = Network.switch_shards net in
+    let w = Network.window net in
+    Network.shutdown net;
     (fp, st, d, s, w)
   in
   let requested = if domains > 0 then Some domains else None in
@@ -589,15 +589,15 @@ let shard_check seed switches tenants domains shards =
     switches s
     (Time.to_ns w / 1_000)
     d seed;
-  let e = st.Shard_net.engine in
+  let e = st.Network.engine in
   Printf.printf
     "exchange: %d windows, %d cross-shard messages (max %d/window), %d events\n"
     e.Lazyctrl_sim.Shard_engine.windows e.Lazyctrl_sim.Shard_engine.messages
     e.Lazyctrl_sim.Shard_engine.max_window_batch
     e.Lazyctrl_sim.Shard_engine.events;
   Printf.printf "flows: %d started, %d delivered; underlay %d delivered / %d dropped\n"
-    st.Shard_net.flows_started st.Shard_net.flows_delivered
-    st.Shard_net.underlay_delivered st.Shard_net.underlay_dropped;
+    st.Network.flows_started st.Network.flows_delivered
+    st.Network.underlay_delivered st.Network.underlay_dropped;
   Printf.printf "fingerprint: %s (%d bytes)\n"
     (Digest.to_hex (Digest.string fp_a))
     (String.length fp_a);

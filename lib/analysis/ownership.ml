@@ -285,19 +285,11 @@ let default =
           cls = Shard_crossing;
           why =
             Some
-              "the wiring layer constructs every shard and owns the \
-               channels between them; its domain-parallel counterpart is \
-               Shard_net over the event exchange";
-        };
-        {
-          path = "lib/core/shard_net.ml";
-          cls = Shard_crossing;
-          why =
-            Some
-              "the domain-parallel wiring: it builds every logical shard's \
-               engine/switches/host models, and every control, peer, \
-               underlay and receipt interaction between them is an \
-               explicit exchange post carrying its link latency";
+              "the one network assembly: it builds every logical shard's \
+               engine, switches, host model, recorder and tracer, and \
+               every channel, underlay frame, control action and receipt \
+               between shards is a Shard_engine post carrying its link \
+               latency";
         };
         (* The controller cluster: each member's coordination state is
            pinned to its own controller domain; the plane and the Coord
@@ -404,16 +396,6 @@ let default =
         (* Setup surface, for the init/run distinction and the report. *)
         {
           e_id = "Lazyctrl_core.Network.create";
-          e_shard = "setup";
-          e_phase = Init;
-        };
-        {
-          e_id = "Lazyctrl_core.Shard_net.create";
-          e_shard = "setup";
-          e_phase = Init;
-        };
-        {
-          e_id = "Lazyctrl_core.Shard_net.bootstrap";
           e_shard = "setup";
           e_phase = Init;
         };

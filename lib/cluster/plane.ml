@@ -66,6 +66,7 @@ let create ?(params = Params.default)
   if n_members < 2 then invalid_arg "Plane.create: need >= 2 members";
   let n = Topology.n_switches topo in
   let engine = Engine.create () in
+  let post = Engine.post engine in
   let underlay =
     Underlay.create engine ~latency:params.Params.underlay_latency ()
   in
@@ -95,7 +96,7 @@ let create ?(params = Params.default)
      control-channel series — the documented exception in DESIGN.md §13. *)
   let mk_ctrl_channel fmt k i =
     let ch =
-      Channel.create ~strict:true engine
+      Channel.create ~strict:true engine ~post
         ~latency:params.Params.control_link_latency
         ~name:(Printf.sprintf fmt k i) ()
     in
@@ -115,7 +116,7 @@ let create ?(params = Params.default)
   let coord =
     Array.init n_members (fun k ->
         Array.init n_members (fun j ->
-            Channel.create ~strict:true engine ~latency:coord_latency
+            Channel.create ~strict:true engine ~post ~latency:coord_latency
               ~name:(Printf.sprintf "coord-%d-%d" k j) ()))
   in
   let peer : (int * int, Edge_switch.msg Channel.t) Hashtbl.t =
@@ -123,8 +124,9 @@ let create ?(params = Params.default)
   in
   let switches : Edge_switch.t option array = Array.make n None in
   let get_switch i = Option.get switches.(i) in
+  let link _ _ = (engine, post) in
   let peer_channel src dst =
-    Network.peer_channel engine params ~loss_rng ~peer_loss ~switch:get_switch
+    Network.peer_channel ~link params ~loss_rng ~peer_loss ~switch:get_switch
       peer (Sid.to_int src, Sid.to_int dst)
   in
   (* Management-plane claim: reject stale terms with feedback, flip the
@@ -280,7 +282,7 @@ let create ?(params = Params.default)
         env params.Params.switch_config ~self
     in
     switches.(i) <- Some sw;
-    Underlay.register underlay (Topology.underlay_ip topo self) (fun pkt ->
+    Underlay.register underlay (Topology.underlay_ip topo self) ~post (fun pkt ->
         Edge_switch.handle_underlay sw pkt)
   done;
   let t =

@@ -42,8 +42,8 @@ val create :
   t
 (** [send] injects a frame at the host's edge switch (the caller adds the
     host-port latency).  [flow_id_base]/[flow_id_stride] (default 0/1)
-    carve disjoint flow-id spaces for per-shard models under
-    {!Shard_net}: model [b] of stride [s] allocates ids [b, b+s, …], so
+    carve disjoint flow-id spaces for the per-shard models of a sharded
+    {!Network}: model [b] of stride [s] allocates ids [b, b+s, …], so
     [id mod s] names the owning model.
     @raise Invalid_argument unless [0 <= flow_id_base < flow_id_stride]. *)
 
@@ -67,7 +67,6 @@ val flows_started : t -> int
 val flows_delivered : t -> int
 val arp_requests_sent : t -> int
 val resolutions_failed : t -> int
-(** Resolutions abandoned after the retry budget. Set the
-    [LAZYCTRL_DEBUG_ARP] environment variable to log each failure. *)
+(** Resolutions abandoned after the retry budget. *)
 
 val pending_resolutions : t -> int

@@ -1,42 +1,21 @@
-(** Domain-parallel LazyCtrl network: the lazy control plane sharded by
-    Local Control Group onto {!Lazyctrl_sim.Shard_engine}.
-
-    Switches/hosts partition by a static [Sgi.ini_group] over the
-    placement-derived intensity prior ({!Network.default_intensity}),
-    packed onto a fixed number of logical switch shards; the controller,
-    its service queue and its recorder own one extra shard.  LCG
-    locality keeps most events shard-local (the paper's thesis applied
-    to the simulator); everything that crosses — control traffic, peer
-    adverts, encapsulated underlay frames, remote flow-completion
-    receipts — is an explicit exchange post carrying its real link
-    latency, every one of which is at least the synchronization window.
-
-    The logical partition never depends on the physical domain count, so
-    {!fingerprint} is byte-identical at every [domains] value; the
-    qcheck property in [test/test_shard.ml] and the CI multicore matrix
-    (`LAZYCTRL_DOMAINS=1,2,4`) enforce this.
-
-    Compared to {!Network}, this plane does not model channel loss,
-    control-link failover relays, or host migration — the single-domain
-    [Network] remains the full-fidelity reference; chaos enters here
-    through {!fail_switch}/{!repair_switch} and the controller's
-    cross-shard reboot/relay reactions. *)
+(** The sharded lazy plane under its former name: every function
+    delegates to {!Network}, which assembles it as its [shards > 1]
+    case.  New code calls {!Network} directly. *)
 
 open Lazyctrl_net
 open Lazyctrl_sim
 open Lazyctrl_topo
-open Lazyctrl_switch
 open Lazyctrl_controller
 open Lazyctrl_metrics
 
-type t
+type t = Network.t
 
-type stats = {
+type stats = Network.stats = {
   engine : Shard_engine.stats;
   flows_started : int;
   flows_delivered : int;
-  underlay_delivered : int;  (** encapsulated frames routed cross-switch *)
-  underlay_dropped : int;  (** plain frames or unknown endpoints *)
+  underlay_delivered : int;
+  underlay_dropped : int;
 }
 
 val create :
@@ -44,75 +23,23 @@ val create :
   ?controller_config:Controller.config ->
   ?domains:int ->
   ?shards:int ->
-  ?window:Time.t ->
   ?trace:bool ->
   topo:Topology.t ->
   horizon:Time.t ->
   unit ->
   t
-(** [shards] is the number of {e logical} switch shards (default 4,
-    clamped to the switch count) — fixed independently of [domains] so
-    results do not depend on parallelism.  [domains] defaults to the
-    [LAZYCTRL_DOMAINS] environment variable ({!Shard_engine.default_domains}).
-    [window] (default: the smallest cross-shard link latency in
-    [params]) may only shrink that bound — a larger window would break
-    the conservative rule, and raises [Invalid_argument].  [trace] gives
-    every logical shard its own flight recorder (see {!tracers}).
-    Call {!bootstrap} before running. *)
+(** [Network.create ~mode:Lazy] with [shards] defaulting to 4 and, with
+    [trace], a fresh tracer per logical shard. *)
 
 val bootstrap : t -> unit
-(** Push the frozen LCG partition to the controller via
-    [Controller.bootstrap_shard]: registers every group, pushes
-    [Group_config] to each switch (cross-shard posts), and starts the
-    echo timers.  The grouping daemon stays inert, so the partition —
-    and with it the shard map — never changes mid-run. *)
-
-val run : t -> until:Time.t -> unit
-val now : t -> Time.t
-
-val shutdown : t -> unit
-(** Join the worker domains (idempotent); required between repeated
-    runs in benches and property tests. *)
 
 val start_flow :
   t -> src:Ids.Host_id.t -> dst:Ids.Host_id.t -> bytes:int -> packets:int -> unit
-(** Initiate a flow from the source host's shard.  Call between runs (or
-    from the owning shard's own callbacks), never from another shard's
-    window. *)
 
-val fail_switch : t -> ?at:Time.t -> Ids.Switch_id.t -> unit
-(** Chaos hook: power the switch off immediately (between runs) or at
-    [at] on its owning shard's engine.  The controller's echo monitor
-    notices cross-shard and reacts with reboot/failover posts. *)
-
-val repair_switch : t -> ?at:Time.t -> Ids.Switch_id.t -> unit
-
-val shard_of : t -> Ids.Switch_id.t -> int
-(** Owning logical shard of a switch (controller shard =
-    {!switch_shards}). *)
-
-val switch_shards : t -> int
-val domains : t -> int
-val window : t -> Time.t
-
-val grouping_assignment : t -> int array
-(** The frozen LCG assignment (switch index -> dense group id). *)
-
-val controller : t -> Controller.t
-val recorders : t -> Recorder.t array
-(** Per logical shard, controller shard last. *)
-
-val tracers : t -> Lazyctrl_trace.Tracer.t array
-(** Per logical shard (disabled singletons unless [~trace:true]); merge
-    or export per shard at analysis time. *)
-
-val switch_stats_sum : t -> Edge_switch.stats
-val flows_started : t -> int
-val flows_delivered : t -> int
+val run : t -> until:Time.t -> unit
+val shutdown : t -> unit
 val stats : t -> stats
-
-val fingerprint : t -> string
-(** Byte-exact observable state in logical-shard order: per-shard
-    recorder series, summed switch stats, controller stats, the frozen
-    grouping with its shard map, flow accounting and exchange totals.
-    Equal across double runs {e and} across domain counts. *)
+val recorders : t -> Recorder.t array
+val tracers : t -> Lazyctrl_trace.Tracer.t array
+val controller : t -> Controller.t
+val switch_stats_sum : t -> Lazyctrl_switch.Edge_switch.stats

@@ -29,8 +29,15 @@ let bursty_loss ?(dup = 0.0) ~base ~burst () =
 
 type loss_state = { rng : Prng.t; spec : loss_spec; mutable bad : bool }
 
+(* [engine] is the sender's clock; delivery goes only through [post],
+   which schedules on the receiver's engine.  Every counter has one
+   writing side: the send-side ones ([n_sent], [n_lost], ...) move on
+   the sender, [n_delivered], [n_bytes_delivered] and [n_dropped_rx] on
+   the receiver, so a channel between two shards shares no written
+   state while a window runs. *)
 type 'msg t = {
   engine : Engine.t;
+  post : Engine.post;
   latency : Time.t;
   jitter : (unit -> Time.t) option;
   chan_name : string;
@@ -48,15 +55,17 @@ type 'msg t = {
   mutable n_sent : int;
   mutable n_delivered : int;
   mutable n_dropped : int;
+  mutable n_dropped_rx : int;
   mutable n_lost : int;
   mutable n_duplicated : int;
   mutable n_bytes_sent : int;
   mutable n_bytes_delivered : int;
 }
 
-let create ?(strict = false) engine ~latency ?jitter ~name () =
+let create ?(strict = false) engine ~post ~latency ?jitter ~name () =
   {
     engine;
+    post;
     latency;
     jitter;
     chan_name = name;
@@ -71,6 +80,7 @@ let create ?(strict = false) engine ~latency ?jitter ~name () =
     n_sent = 0;
     n_delivered = 0;
     n_dropped = 0;
+    n_dropped_rx = 0;
     n_lost = 0;
     n_duplicated = 0;
     n_bytes_sent = 0;
@@ -121,23 +131,22 @@ let schedule_delivery t ~nbytes msg =
   in
   t.last_delivery <- at;
   let epoch = t.epoch in
-  ignore
-    (Engine.schedule_at t.engine ~at (fun () ->
-         if t.up && epoch = t.epoch then
-           match t.receiver with
-           | Some f ->
-               t.n_delivered <- t.n_delivered + 1;
-               t.n_bytes_delivered <- t.n_bytes_delivered + nbytes;
-               f msg
-           | None ->
-               if t.strict then
-                 invalid_arg
-                   (Printf.sprintf
-                      "Channel %s: message delivered before any receiver was \
-                       set (wiring-order bug)"
-                      t.chan_name)
-               else t.n_dropped <- t.n_dropped + 1
-         else t.n_dropped <- t.n_dropped + 1))
+  t.post ~at (fun () ->
+      if t.up && epoch = t.epoch then
+        match t.receiver with
+        | Some f ->
+            t.n_delivered <- t.n_delivered + 1;
+            t.n_bytes_delivered <- t.n_bytes_delivered + nbytes;
+            f msg
+        | None ->
+            if t.strict then
+              invalid_arg
+                (Printf.sprintf
+                   "Channel %s: message delivered before any receiver was \
+                    set (wiring-order bug)"
+                   t.chan_name)
+            else t.n_dropped_rx <- t.n_dropped_rx + 1
+      else t.n_dropped_rx <- t.n_dropped_rx + 1)
 
 let send t msg =
   if not t.up then begin
@@ -184,6 +193,6 @@ let sent t = t.n_sent
 let bytes_sent t = t.n_bytes_sent
 let bytes_delivered t = t.n_bytes_delivered
 let delivered t = t.n_delivered
-let dropped t = t.n_dropped
+let dropped t = t.n_dropped + t.n_dropped_rx
 let lost t = t.n_lost
 let duplicated t = t.n_duplicated

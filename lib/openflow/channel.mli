@@ -39,14 +39,20 @@ type 'msg t
 val create :
   ?strict:bool ->
   Engine.t ->
+  post:Engine.post ->
   latency:Time.t ->
   ?jitter:(unit -> Time.t) ->
   name:string ->
   unit ->
   'msg t
-(** [strict] (default [false]) turns a delivery that finds no receiver into
-    an [Invalid_argument] exception instead of a silent drop — it flags
-    wiring-order bugs where a message is sent before {!set_receiver}. *)
+(** [create engine ~post] reads the send time from [engine] (the
+    sender's clock) and hands every delivery to [post], which schedules
+    it on the receiver's engine: [Engine.post engine] when both ends
+    share one engine, a {!Lazyctrl_sim.Shard_engine.post} when they sit
+    on different shards.  [strict] (default [false]) turns a delivery
+    that finds no receiver into an [Invalid_argument] exception instead
+    of a silent drop — it flags wiring-order bugs where a message is sent
+    before {!set_receiver}. *)
 
 val name : 'msg t -> string
 

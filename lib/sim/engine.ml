@@ -171,6 +171,13 @@ let schedule_at t ~at f =
 
 let schedule t ~after f = schedule_at t ~at:(Time.add t.clock after) f
 
+type post = at:Time.t -> (unit -> unit) -> unit
+
+(* A closure of arity two, so a call through it applies directly. *)
+let post t =
+  let post ~at f = ignore (schedule_at t ~at f) in
+  post
+
 let arm_recur t ridx =
   let delay =
     match t.r_jitter.(ridx) with

@@ -19,6 +19,15 @@ val schedule : t -> after:Time.t -> (unit -> unit) -> event_id
 val schedule_at : t -> at:Time.t -> (unit -> unit) -> event_id
 (** @raise Invalid_argument if [at] is in the past. *)
 
+type post = at:Time.t -> (unit -> unit) -> unit
+(** The delivery seam of the transports ({!Lazyctrl_openflow.Channel},
+    {!Lazyctrl_topo.Underlay}): run a callback at an absolute time on the
+    receiving side's engine.  {!Shard_engine.post} partially applied to a
+    (src, dst) shard pair is one; {!post} is the single-engine one. *)
+
+val post : t -> post
+(** [post t] schedules straight onto [t], discarding the handle. *)
+
 val every : t -> period:Time.t -> ?jitter:(unit -> Time.t) -> (unit -> unit) -> event_id
 (** [every t ~period f] runs [f] at [now + period], then re-arms with the
     same period (plus [jitter ()] if given) until cancelled. The returned

@@ -71,7 +71,8 @@ let default_domains () =
 
 let create ?domains ~shards ~window () =
   if shards < 1 then invalid_arg "Shard_engine.create: shards < 1";
-  if Time.to_ns window <= 0 then invalid_arg "Shard_engine.create: window <= 0";
+  if shards > 1 && Time.to_ns window <= 0 then
+    invalid_arg "Shard_engine.create: window <= 0";
   let requested = match domains with Some d -> d | None -> default_domains () in
   let domains = max 1 (min requested shards) in
   {
@@ -160,7 +161,7 @@ let run_window t ~horizon =
         Engine.run ~until:horizon t.engines.(t.busy.(k))
       done
 
-let run t ~until =
+let run_windows t ~until =
   let w = t.window_ns in
   let continue_ = ref true in
   while !continue_ do
@@ -182,6 +183,11 @@ let run t ~until =
         t.windows <- t.windows + 1
   done;
   drain t
+
+(* One logical shard has nothing to exchange: its engine runs directly,
+   so a one-shard run fires exactly the events of a plain engine run. *)
+let run t ~until =
+  if t.n = 1 then Engine.run ~until t.engines.(0) else run_windows t ~until
 
 let stats t =
   let events = ref 0 in

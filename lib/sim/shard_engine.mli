@@ -46,8 +46,8 @@ val create : ?domains:int -> shards:int -> window:Time.t -> unit -> t
 (** [create ~shards ~window ()] builds [shards] fresh engines.
     [domains] defaults to {!default_domains}[ ()] and is clamped to
     [1..shards]; worker domains are spawned only when the clamp result
-    exceeds 1.  @raise Invalid_argument on [shards < 1] or a
-    non-positive window. *)
+    exceeds 1.  @raise Invalid_argument on [shards < 1], or on a
+    non-positive window when [shards > 1] (one shard never uses it). *)
 
 val shards : t -> int
 val domains : t -> int
@@ -71,7 +71,8 @@ val post : t -> src:int -> dst:int -> at:Time.t -> (unit -> unit) -> unit
 val run : t -> until:Time.t -> unit
 (** Advance every shard to [until] (inclusive, matching
     {!Engine.run}), window by window.  All shard clocks equal [until]
-    afterwards. *)
+    afterwards.  A single shard runs its engine directly: no windows,
+    no exchange. *)
 
 val stats : t -> stats
 

@@ -14,9 +14,14 @@ type t
 
 val create :
   Engine.t -> latency:Time.t -> ?jitter:(unit -> Time.t) -> unit -> t
+(** The engine is the senders' clock: a frame sent at its [now] arrives
+    one latency later. *)
 
-val register : t -> Ipv4.t -> (Packet.t -> unit) -> unit
-(** Attach an endpoint (an edge switch's tunnel interface). *)
+val register : t -> Ipv4.t -> post:Engine.post -> (Packet.t -> unit) -> unit
+(** Attach an endpoint (an edge switch's tunnel interface).  Frames for
+    it are delivered only through [post], which schedules on the
+    endpoint's engine ([Engine.post engine] when senders and endpoint
+    share one), and counted there. *)
 
 val send : t -> Packet.t -> bool
 (** Route an encapsulated frame to its outer destination. Returns [false]

@@ -47,6 +47,10 @@ let create ?(sample_every = 1) ?(capacity = 262_144) () =
 
 let enabled t = t.on
 
+let derive t =
+  if t.on then create ~sample_every:t.sample_every ~capacity:t.capacity ()
+  else disabled
+
 (* Byte accounting is a plain accumulator, not an event: wire-hook
    frequency (one call per encoded control message) would swamp the ring,
    and the cross-check against the channel counters needs totals exempt

@@ -33,6 +33,10 @@ val create : ?sample_every:int -> ?capacity:int -> unit -> t
     flow); [capacity] defaults to [262144] events.
     @raise Invalid_argument if [sample_every < 1] or [capacity < 1]. *)
 
+val derive : t -> t
+(** A fresh, empty tracer with [t]'s sampling and capacity ({!disabled}
+    when [t] is): the per-shard flight recorders of a sharded network. *)
+
 val enabled : t -> bool
 (** Guard for instrumentation sites: check this before allocating event
     payloads so disabled tracing stays near-free. *)

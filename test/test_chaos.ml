@@ -144,7 +144,7 @@ let test_reliable_tail_drop () =
 
 let test_strict_channel_raises () =
   let e = Engine.create () in
-  let ch = Channel.create ~strict:true e ~latency:(Time.of_ms 1) ~name:"x" () in
+  let ch = Channel.create ~strict:true e ~post:(Engine.post e) ~latency:(Time.of_ms 1) ~name:"x" () in
   check Alcotest.bool "send accepted" true (Channel.send ch 42);
   Alcotest.check_raises "delivery without a receiver is a wiring bug"
     (Invalid_argument
@@ -153,7 +153,7 @@ let test_strict_channel_raises () =
     (fun () -> Engine.run e);
   (* A lax channel merely counts the drop. *)
   let e2 = Engine.create () in
-  let lax = Channel.create e2 ~latency:(Time.of_ms 1) ~name:"y" () in
+  let lax = Channel.create e2 ~post:(Engine.post e2) ~latency:(Time.of_ms 1) ~name:"y" () in
   ignore (Channel.send lax 42);
   Engine.run e2;
   check Alcotest.int "lax drop counted" 1 (Channel.dropped lax)

@@ -242,7 +242,7 @@ let test_message_helpers () =
 
 let test_channel_delivery_latency () =
   let e = Engine.create () in
-  let ch = Channel.create e ~latency:(Time.of_ms 2) ~name:"c" () in
+  let ch = Channel.create e ~post:(Engine.post e) ~latency:(Time.of_ms 2) ~name:"c" () in
   let got = ref [] in
   Channel.set_receiver ch (fun m -> got := (m, Time.to_ns (Engine.now e)) :: !got);
   check Alcotest.bool "send ok" true (Channel.send ch "x");
@@ -264,7 +264,7 @@ let test_channel_fifo_under_jitter () =
         j
     | [] -> Time.zero
   in
-  let ch = Channel.create e ~latency:(Time.of_ms 1) ~jitter ~name:"c" () in
+  let ch = Channel.create e ~post:(Engine.post e) ~latency:(Time.of_ms 1) ~jitter ~name:"c" () in
   let got = ref [] in
   Channel.set_receiver ch (fun m -> got := m :: !got);
   ignore (Channel.send ch 1);
@@ -274,7 +274,7 @@ let test_channel_fifo_under_jitter () =
 
 let test_channel_failure () =
   let e = Engine.create () in
-  let ch = Channel.create e ~latency:(Time.of_ms 1) ~name:"c" () in
+  let ch = Channel.create e ~post:(Engine.post e) ~latency:(Time.of_ms 1) ~name:"c" () in
   let got = ref 0 in
   Channel.set_receiver ch (fun () -> incr got);
   ignore (Channel.send ch ());
@@ -291,7 +291,7 @@ let test_channel_failure () =
 
 let test_channel_no_receiver () =
   let e = Engine.create () in
-  let ch = Channel.create e ~latency:Time.zero ~name:"c" () in
+  let ch = Channel.create e ~post:(Engine.post e) ~latency:Time.zero ~name:"c" () in
   ignore (Channel.send ch ());
   Engine.run e;
   check Alcotest.int "dropped without receiver" 1 (Channel.dropped ch)

@@ -5,10 +5,11 @@
    planted cross-shard-ordering fixture pinning the (time, src, seq)
    merge order.
 
-   Layer 2 (Shard_net): the paper-level property behind the CI multicore
-   matrix — a seeded scenario produces a byte-identical fingerprint at
-   every domain count, across random seeds, topology sizes and window
-   widths (qcheck), and double runs reproduce exactly. *)
+   Layer 2 (Network at shards > 1): the paper-level property behind the
+   CI multicore matrix — a seeded scenario produces a byte-identical
+   fingerprint at every domain count, across random seeds and topology
+   sizes (qcheck), with and without channel loss, and double runs
+   reproduce exactly. *)
 
 open Lazyctrl_net
 open Lazyctrl_sim
@@ -163,12 +164,15 @@ let test_multidomain_engine_equivalence () =
   Alcotest.(check int) "same events" e1 e2;
   Alcotest.(check int) "same messages" m1 m2
 
-(* --- Shard_net determinism --------------------------------------------- *)
+(* --- Sharded network determinism ----------------------------------------- *)
 
 let relaxed_config =
   { Controller.default_config with Controller.group_size_limit = 3 }
 
-let scenario ?(domains = 1) ?window ?(n_switches = 10) ~seed () =
+(* [lossy] puts 2% uniform loss on every control and peer channel before
+   the first run, so the per-channel loss sub-streams are exercised
+   across shards. *)
+let scenario ?(domains = 1) ?(n_switches = 10) ?(lossy = false) ~seed () =
   let topo =
     Placement.generate ~rng:(Prng.create seed)
       {
@@ -181,96 +185,128 @@ let scenario ?(domains = 1) ?window ?(n_switches = 10) ~seed () =
       }
   in
   let net =
-    Shard_net.create ~controller_config:relaxed_config ~domains ?window ~topo
-      ~horizon:(Time.of_min 10) ()
+    Network.create ~controller_config:relaxed_config ~shards:4 ~domains
+      ~mode:Network.Lazy ~topo ~horizon:(Time.of_min 10) ()
   in
-  Shard_net.bootstrap net;
-  Shard_net.run net ~until:(Time.of_sec 5);
+  if lossy then begin
+    let loss = Some (Lazyctrl_openflow.Channel.uniform_loss 0.02) in
+    Network.set_control_loss net loss;
+    Network.set_peer_loss net loss
+  end;
+  Network.bootstrap net ();
+  Network.run net ~until:(Time.of_sec 5);
   List.iter
     (fun tenant ->
       match Topology.tenant_hosts topo tenant with
       | first :: rest ->
           List.iter
             (fun (peer : Host.t) ->
-              Shard_net.start_flow net ~src:first.Host.id ~dst:peer.id
+              Network.start_flow net ~src:first.Host.id ~dst:peer.id
                 ~bytes:12_000 ~packets:5)
             rest
       | [] -> ())
     (Topology.tenants topo);
-  Shard_net.run net ~until:(Time.of_sec 40);
+  Network.run net ~until:(Time.of_sec 45);
   (* Chaos across the shard boundary: kill a switch mid-run; the
      controller's echo monitor reacts from its own shard. *)
-  Shard_net.fail_switch net ~at:(Time.of_sec 45) (Ids.Switch_id.of_int 2);
-  Shard_net.repair_switch net ~at:(Time.of_min 2) (Ids.Switch_id.of_int 2);
-  Shard_net.run net ~until:(Time.of_min 3);
-  let fp = Shard_net.fingerprint net in
-  let st = Shard_net.stats net in
-  Shard_net.shutdown net;
-  (fp, st)
+  Network.fail_switch net (Ids.Switch_id.of_int 2);
+  Network.run net ~until:(Time.of_min 2);
+  Network.repair_switch net (Ids.Switch_id.of_int 2);
+  Network.run net ~until:(Time.of_min 3);
+  let fp = Network.fingerprint net in
+  let st = Network.stats net in
+  let violations = (Network.reliability_stats net).Lazyctrl_openflow.Reliable.violations in
+  Network.shutdown net;
+  (fp, st, violations)
 
 let test_scenario_is_nontrivial () =
-  let fp, st = scenario ~seed:11 () in
+  let fp, st, _ = scenario ~seed:11 () in
   Alcotest.(check bool) "fingerprint non-empty" true (String.length fp > 400);
-  Alcotest.(check bool) "flows delivered" true (st.Shard_net.flows_delivered > 0);
+  Alcotest.(check bool) "flows delivered" true (st.Network.flows_delivered > 0);
   Alcotest.(check bool)
     "every started flow was delivered" true
-    (st.Shard_net.flows_delivered = st.Shard_net.flows_started);
+    (st.Network.flows_delivered = st.Network.flows_started);
   Alcotest.(check bool)
     "cross-shard traffic happened" true
-    (st.Shard_net.engine.Shard_engine.messages > 0)
+    (st.Network.engine.Shard_engine.messages > 0)
 
 let test_double_run_identical () =
-  let fp1, _ = scenario ~seed:11 () in
-  let fp2, _ = scenario ~seed:11 () in
+  let fp1, _, _ = scenario ~seed:11 () in
+  let fp2, _, _ = scenario ~seed:11 () in
   Alcotest.(check string) "same seed, byte-identical" fp1 fp2;
-  let fp3, _ = scenario ~seed:12 () in
+  let fp3, _, _ = scenario ~seed:12 () in
   Alcotest.(check bool) "different seed differs" false (String.equal fp1 fp3)
 
-let test_domain_counts_identical () =
-  let fp1, _ = scenario ~seed:11 ~domains:1 () in
+let check_domain_counts ?lossy () =
+  let fp1, _, v1 = scenario ?lossy ~seed:11 ~domains:1 () in
+  Alcotest.(check int) "d1: no reliability violations" 0 v1;
   List.iter
     (fun domains ->
-      let fpn, _ = scenario ~seed:11 ~domains () in
+      let fpn, _, vn = scenario ?lossy ~seed:11 ~domains () in
       Alcotest.(check string)
         (Printf.sprintf "d1 vs d%d byte-identical" domains)
-        fp1 fpn)
+        fp1 fpn;
+      Alcotest.(check int)
+        (Printf.sprintf "d%d: no reliability violations" domains)
+        0 vn)
     [ 2; 4 ]
+
+let test_domain_counts_identical () = check_domain_counts ()
+
+(* The loss draws come from per-channel sub-streams keyed by channel
+   name, so they must not depend on which domain runs a shard. *)
+let test_lossy_domain_counts_identical () =
+  let fp, _, _ = scenario ~lossy:true ~seed:11 () in
+  let clean, _, _ = scenario ~seed:11 () in
+  Alcotest.(check bool) "loss changes the run" false (String.equal fp clean);
+  check_domain_counts ~lossy:true ()
 
 let test_env_domains_default () =
   (* Whatever LAZYCTRL_DOMAINS says, it parses to a sane lane count and
-     the explicit argument overrides it. *)
+     the explicit argument overrides it; an unsharded network stays on
+     one domain. *)
   let d = Shard_engine.default_domains () in
   Alcotest.(check bool) "default domain count sane" true (d >= 1);
-  let net =
-    Shard_net.create ~domains:2
-      ~topo:
-        (Placement.generate ~rng:(Prng.create 3)
-           {
-             Placement.n_switches = 6;
-             n_tenants = 2;
-             tenant_size_min = 4;
-             tenant_size_max = 6;
-             racks_per_tenant = 2;
-             stray_fraction = 0.0;
-           })
-      ~horizon:(Time.of_min 1) ()
+  let topo =
+    Placement.generate ~rng:(Prng.create 3)
+      {
+        Placement.n_switches = 6;
+        n_tenants = 2;
+        tenant_size_min = 4;
+        tenant_size_max = 6;
+        racks_per_tenant = 2;
+        stray_fraction = 0.0;
+      }
   in
-  Alcotest.(check int) "explicit domains win" 2 (Shard_net.domains net);
-  Alcotest.(check int) "logical shards fixed at 4+1" 4 (Shard_net.switch_shards net);
-  Shard_net.shutdown net
+  let create ?shards ?domains mode =
+    Network.create ?shards ?domains ~mode ~topo ~horizon:(Time.of_min 1) ()
+  in
+  let net = create ~shards:4 ~domains:2 Network.Lazy in
+  Alcotest.(check int) "explicit domains win" 2 (Network.domains net);
+  Alcotest.(check int) "logical shards fixed at 4+1" 4 (Network.switch_shards net);
+  List.iter
+    (fun sw ->
+      Alcotest.(check bool) "every switch on a switch shard" true
+        (Network.shard_of net sw < 4))
+    (Topology.switches topo);
+  Network.shutdown net;
+  let one = create Network.Lazy in
+  Alcotest.(check int) "one shard by default" 1 (Network.switch_shards one);
+  Alcotest.(check int) "one shard runs on one domain" 1 (Network.domains one);
+  Alcotest.check_raises "the OpenFlow plane stays on one shard"
+    (Invalid_argument "Network.create: the OpenFlow plane runs on one shard")
+    (fun () -> ignore (create ~shards:4 Network.Openflow))
 
 let gen_case =
   let open QCheck2.Gen in
   let* seed = int_range 1 500 in
   let* n_switches = int_range 6 14 in
   let* domains = int_range 2 4 in
-  let* window_us = oneofl [ 50; 100; 150 ] in
-  return (seed, n_switches, domains, window_us)
+  return (seed, n_switches, domains)
 
-let prop_domain_count_invariance (seed, n_switches, domains, window_us) =
-  let window = Time.of_us window_us in
-  let fp1, _ = scenario ~seed ~n_switches ~domains:1 ~window () in
-  let fpn, _ = scenario ~seed ~n_switches ~domains ~window () in
+let prop_domain_count_invariance (seed, n_switches, domains) =
+  let fp1, _, _ = scenario ~seed ~n_switches ~domains:1 () in
+  let fpn, _, _ = scenario ~seed ~n_switches ~domains () in
   String.equal fp1 fpn
 
 let () =
@@ -303,9 +339,11 @@ let () =
             test_double_run_identical;
           Alcotest.test_case "domain counts identical" `Slow
             test_domain_counts_identical;
+          Alcotest.test_case "lossy domain counts identical" `Slow
+            test_lossy_domain_counts_identical;
           Alcotest.test_case "env default + overrides" `Quick
             test_env_domains_default;
-          qtest ~count:4 "qcheck: fingerprint invariant in domains/window"
+          qtest ~count:4 "qcheck: fingerprint invariant in domains"
             gen_case prop_domain_count_invariance;
         ] );
     ]

@@ -153,7 +153,7 @@ let test_underlay_delivery () =
   let e = Engine.create () in
   let u = Underlay.create e ~latency:(Time.of_us 250) () in
   let got = ref [] in
-  Underlay.register u (Ipv4.of_switch_id 1) (fun p ->
+  Underlay.register u (Ipv4.of_switch_id 1) ~post:(Engine.post e) (fun p ->
       got := (p, Time.to_ns (Engine.now e)) :: !got);
   check Alcotest.bool "send accepted" true (Underlay.send u (encap_packet ~src_sw:0 ~dst_sw:1));
   Engine.run e;
@@ -180,7 +180,7 @@ let test_underlay_path_failure () =
   let e = Engine.create () in
   let u = Underlay.create e ~latency:Time.zero () in
   let delivered = ref 0 in
-  Underlay.register u (Ipv4.of_switch_id 1) (fun _ -> incr delivered);
+  Underlay.register u (Ipv4.of_switch_id 1) ~post:(Engine.post e) (fun _ -> incr delivered);
   let src = Ipv4.of_switch_id 0 and dst = Ipv4.of_switch_id 1 in
   Underlay.fail_path u ~src ~dst;
   check Alcotest.bool "path down" false (Underlay.path_up u ~src ~dst);

@@ -652,34 +652,55 @@ let test_buffered_punt_e2e () =
   Alcotest.(check bool) "control bytes were accounted" true
     (Network.ctrl_bytes_sent net > 0)
 
-let run_lazy ?tracer seed =
+(* Flows start between runs, as a sharded network requires. *)
+let run_lazy ?tracer ?shards seed =
   let topo = build_topo seed in
   let net =
     Network.create
       ~params:(Params.with_seed seed Params.default)
-      ?tracer ~mode:Network.Lazy ~topo ~horizon:(Time.of_min 10) ()
+      ?tracer ?shards ~mode:Network.Lazy ~topo ~horizon:(Time.of_min 10) ()
   in
   Network.bootstrap net ();
-  inject_flows net topo seed 30;
+  let rng = Prng.create (seed * 37) in
+  let hosts = Array.of_list (Topology.hosts topo) in
+  for i = 1 to 30 do
+    Network.run net ~until:(Time.add (Time.of_sec 10) (Time.of_sec i));
+    let a = Prng.choose rng hosts and b = Prng.choose rng hosts in
+    if not (Host.equal a b) then
+      Network.start_flow net ~src:a.Host.id ~dst:b.Host.id ~bytes:3000
+        ~packets:2
+  done;
   Network.run net ~until:(Time.of_min 10);
+  Network.shutdown net;
   net
 
+(* On one shard and on four: every send charges its own shard's
+   recorder and tracer, so the per-shard totals sum to the channel
+   counters. *)
 let test_byte_crosscheck () =
-  let tracer = Tracer.create () in
-  let net = run_lazy ~tracer 23 in
-  let sent = Network.ctrl_bytes_sent net in
-  Alcotest.(check bool) "control channels carried bytes" true (sent > 0);
-  Alcotest.(check int) "recorder total equals the channel counters" sent
-    (Recorder.total_ctrl_bytes (Network.recorder net));
-  Alcotest.(check int) "tracer total equals the channel counters" sent
-    (Tracer.ctrl_bytes tracer);
-  let totals = Network.link_stats net in
-  Alcotest.(check bool)
-    "all-channel byte totals dominate the controller-facing subset" true
-    (totals.Network.links_bytes_sent >= sent);
-  let per_sec = Recorder.ctrl_bytes_per_sec (Network.recorder net) in
-  Alcotest.(check bool) "the bytes/sec series carries the total" true
-    (Array.fold_left ( +. ) 0.0 per_sec > 0.0)
+  List.iter
+    (fun shards ->
+      let net = run_lazy ~tracer:(Tracer.create ()) ~shards 23 in
+      let sum f arr = Array.fold_left (fun acc x -> acc + f x) 0 arr in
+      let sent = Network.ctrl_bytes_sent net in
+      let msg what = Printf.sprintf "%s (%d shards)" what shards in
+      Alcotest.(check bool) (msg "control channels carried bytes") true (sent > 0);
+      Alcotest.(check int) (msg "recorder totals equal the channel counters") sent
+        (sum Recorder.total_ctrl_bytes (Network.recorders net));
+      Alcotest.(check int) (msg "tracer totals equal the channel counters") sent
+        (sum Tracer.ctrl_bytes (Network.tracers net));
+      let totals = Network.link_stats net in
+      Alcotest.(check bool)
+        (msg "all-channel byte totals dominate the controller-facing subset")
+        true
+        (totals.Network.links_bytes_sent >= sent);
+      let per_sec =
+        Array.concat
+          (Array.to_list (Array.map Recorder.ctrl_bytes_per_sec (Network.recorders net)))
+      in
+      Alcotest.(check bool) (msg "the bytes/sec series carries the total") true
+        (Array.fold_left ( +. ) 0.0 per_sec > 0.0))
+    [ 1; 4 ]
 
 let test_byte_determinism () =
   let a = Network.ctrl_bytes_sent (run_lazy 29) in
