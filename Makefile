@@ -88,7 +88,7 @@ chaos:
 # Controller-cluster chaos: kill/partition cluster members mid-run and
 # check re-homing, disjoint ownership and cluster-wide exactly-once.
 chaos-cluster:
-	dune exec bin/lazyctrl_cli.exe -- chaos --cluster
+	dune exec bin/lazyctrl_cli.exe -- chaos --controllers 3
 
 clean:
 	dune clean

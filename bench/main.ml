@@ -598,19 +598,19 @@ let perf_trace_overhead () =
    seeded scenario; ops are delivered packets, so the rate prices the
    coordination overhead against useful data-plane work. *)
 let perf_cluster_migration () =
-  let module Chaos_runner = Lazyctrl_cluster.Chaos_runner in
+  let module Runner = Lazyctrl_chaos.Runner in
   let module Scenario = Lazyctrl_chaos.Scenario in
   let module Fault = Lazyctrl_chaos.Fault in
   let cfg =
-    let base = Chaos_runner.default_config in
+    let base = Runner.cluster_config in
     {
       base with
-      Chaos_runner.loss = 0.0;
+      Runner.loss = 0.0;
       dup = 0.0;
       n_switches = (if !quick then 10 else 16);
       spec =
         {
-          base.Chaos_runner.spec with
+          base.Runner.spec with
           Scenario.kinds = [ Fault.Controller_kill ];
           n_faults = 1;
         };
@@ -618,17 +618,16 @@ let perf_cluster_migration () =
   in
   (* The scenario is deterministic: size the op count from a dry run,
      which doubles as the warmup. *)
-  let probe = Chaos_runner.run cfg in
+  let probe = Runner.run cfg in
   let ops =
     max 1
-      probe.Chaos_runner.switch_stats
-        .Lazyctrl_switch.Edge_switch.packets_delivered
+      probe.Runner.switch_stats.Lazyctrl_switch.Edge_switch.packets_delivered
   in
   perf_record
     (Perf.Measure.run ~name:"cluster-migration" ~warmup:0
        ~reps:(if !quick then 3 else 4)
        ~ops_per_rep:ops
-       (fun () -> ignore (Chaos_runner.run cfg)))
+       (fun () -> ignore (Runner.run cfg)))
 
 (* --- hot-path probes -------------------------------------------------------- *)
 

@@ -648,37 +648,49 @@ let shard_check_cmd =
 
 (* --- chaos ----------------------------------------------------------------- *)
 
-let chaos_cluster seed switches tenants loss faults window members =
+let chaos seed switches tenants loss raw faults window controllers =
   let module Chaos = Lazyctrl_chaos in
-  let module CR = Lazyctrl_cluster.Chaos_runner in
-  let base = CR.default_config in
+  let module R = Chaos.Runner in
+  let module Member = Lazyctrl_cluster.Member in
+  let base = if controllers > 1 then R.cluster_config else R.default_config in
   let cfg =
     {
       base with
-      CR.seed;
-      n_members = members;
+      R.seed;
+      controllers;
       n_switches = switches;
       n_tenants = tenants;
       loss;
       dup = loss /. 5.0;
+      reliable = not raw;
       spec =
         {
-          base.CR.spec with
+          base.R.spec with
           Chaos.Scenario.n_faults = faults;
           window = Time.of_sec window;
         };
     }
   in
   Printf.printf
-    "chaos --cluster: %d controllers, %d switches, %d tenants, %.0f%% loss, %d \
-     faults over %ds (seed %d)\n%!"
-    members switches tenants (100. *. loss) faults window seed;
-  let r = CR.run cfg in
+    "chaos: %d controller%s, %d switches, %d tenants, %.0f%% loss, %d faults \
+     over %ds, state delivery %s (seed %d)\n%!"
+    controllers
+    (if controllers = 1 then "" else "s")
+    switches tenants (100. *. loss) faults window
+    (if raw then "fire-and-forget" else "reliable")
+    seed;
+  let r = R.run cfg in
   print_endline "fault schedule:";
   List.iter
     (fun e -> Printf.printf "  %s\n" (Format.asprintf "%a" Chaos.Fault.pp_event e))
-    r.CR.events;
-  let s = r.CR.reliability in
+    r.R.events;
+  let l = r.R.link in
+  Printf.printf
+    "channels: %d sent, %d delivered (%.1f%%), %d lost to chaos, %d duplicated\n"
+    l.Network.links_sent l.Network.links_delivered
+    (100. *. R.delivery_ratio l)
+    l.Network.links_lost l.Network.links_duplicated;
+  let s = r.R.reliability in
   Printf.printf
     "reliable sessions: %d data sent, %d retransmits, %d dups ignored, %d \
      give-ups, %d violations\n"
@@ -687,94 +699,31 @@ let chaos_cluster seed switches tenants loss faults window members =
     s.Lazyctrl_openflow.Reliable.dups_ignored
     s.Lazyctrl_openflow.Reliable.give_ups
     s.Lazyctrl_openflow.Reliable.violations;
-  let m = r.CR.member_stats in
-  Printf.printf
-    "cluster: %d rehomes, %d adoptions, %d releases, %d handoffs, %d peer \
-     deaths / %d revivals, %d controller-failure verdicts\n"
-    m.Lazyctrl_cluster.Member.rehomes_sent m.Lazyctrl_cluster.Member.adoptions
-    m.Lazyctrl_cluster.Member.releases
-    m.Lazyctrl_cluster.Member.handoffs_offered
-    m.Lazyctrl_cluster.Member.peer_deaths
-    m.Lazyctrl_cluster.Member.peer_revivals
-    m.Lazyctrl_cluster.Member.controller_failure_verdicts;
+  if controllers > 1 then begin
+    let m = r.R.member_stats in
+    Printf.printf
+      "cluster: %d rehomes, %d adoptions, %d releases, %d handoffs, %d peer \
+       deaths / %d revivals, %d controller-failure verdicts\n"
+      m.Member.rehomes_sent m.Member.adoptions m.Member.releases
+      m.Member.handoffs_offered m.Member.peer_deaths m.Member.peer_revivals
+      m.Member.controller_failure_verdicts
+  end;
   Printf.printf
     "traffic: %d flows started, %d delivered, %d unresolved; involvement %.4f\n"
-    r.CR.flows_started r.CR.flows_delivered r.CR.resolutions_failed
-    r.CR.involvement;
+    r.R.flows_started r.R.flows_delivered r.R.resolutions_failed
+    r.R.involvement;
   print_endline "invariants after settling:";
   List.iter
     (fun rep ->
       Printf.printf "  %s\n" (Format.asprintf "%a" Chaos.Invariant.pp_report rep))
-    r.CR.reports;
-  match r.CR.converged_after with
+    r.R.reports;
+  match r.R.converged_after with
   | Some t ->
       Printf.printf "converged %.1f s after the last repair\n"
         (Time.to_float_sec t)
   | None ->
       print_endline "DID NOT CONVERGE before the settle deadline";
       exit 1
-
-let chaos seed switches tenants loss raw faults window cluster members =
-  if cluster then chaos_cluster seed switches tenants loss faults window members
-  else begin
-  let module Chaos = Lazyctrl_chaos in
-  let spec =
-    {
-      Chaos.Scenario.default with
-      Chaos.Scenario.n_faults = faults;
-      window = Time.of_sec window;
-    }
-  in
-  let cfg =
-    {
-      Chaos.Runner.default_config with
-      Chaos.Runner.seed;
-      n_switches = switches;
-      n_tenants = tenants;
-      loss;
-      dup = loss /. 5.0;
-      reliable = not raw;
-      spec;
-    }
-  in
-  Printf.printf
-    "chaos: %d switches, %d tenants, %.0f%% loss, %d faults over %ds, state \
-     delivery %s (seed %d)\n%!"
-    switches tenants (100. *. loss) faults window
-    (if raw then "fire-and-forget" else "reliable")
-    seed;
-  let r = Chaos.Runner.run cfg in
-  print_endline "fault schedule:";
-  List.iter
-    (fun e -> Printf.printf "  %s\n" (Format.asprintf "%a" Chaos.Fault.pp_event e))
-    r.Chaos.Runner.events;
-  let l = r.Chaos.Runner.link in
-  Printf.printf
-    "channels: %d sent, %d delivered (%.1f%%), %d lost to chaos, %d duplicated\n"
-    l.Network.links_sent l.Network.links_delivered
-    (100. *. Chaos.Runner.delivery_ratio l)
-    l.Network.links_lost l.Network.links_duplicated;
-  let s = r.Chaos.Runner.reliability in
-  Printf.printf
-    "reliable sessions: %d data sent, %d retransmits, %d dups ignored, %d \
-     give-ups\n"
-    s.Lazyctrl_openflow.Reliable.data_sent
-    s.Lazyctrl_openflow.Reliable.retransmits
-    s.Lazyctrl_openflow.Reliable.dups_ignored
-    s.Lazyctrl_openflow.Reliable.give_ups;
-  print_endline "invariants after settling:";
-  List.iter
-    (fun rep ->
-      Printf.printf "  %s\n" (Format.asprintf "%a" Chaos.Invariant.pp_report rep))
-    r.Chaos.Runner.reports;
-  match r.Chaos.Runner.converged_after with
-  | Some t ->
-      Printf.printf "converged %.1f s after the last repair\n"
-        (Time.to_float_sec t)
-  | None ->
-      print_endline "DID NOT CONVERGE before the settle deadline";
-      exit 1
-  end
 
 let chaos_cmd =
   let loss =
@@ -808,22 +757,24 @@ let chaos_cmd =
     Arg.(
       value & opt int 6 & info [ "tenants" ] ~docv:"N" ~doc:"Number of tenants.")
   in
-  let cluster =
+  let controllers =
+    let positive =
+      Arg.conv'
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some n when n >= 1 -> Ok n
+            | _ -> Error (Printf.sprintf "expected an integer >= 1, got %S" s)),
+          Format.pp_print_int )
+    in
     Arg.(
-      value & flag
-      & info [ "cluster" ]
+      value & opt positive 1
+      & info [ "controllers" ] ~docv:"N"
           ~doc:
-            "Run against a controller cluster instead of the single \
-             controller: faults are drawn from the cluster vocabulary \
+            "Controller count.  Above 1 the run starts from the cluster \
+             defaults: faults are drawn from the cluster vocabulary \
              (controller kills, coordination partitions, switch power \
              cycles, loss storms) and the cluster invariants — re-homing, \
              disjoint ownership, cluster-wide exactly-once — are checked.")
-  in
-  let members =
-    Arg.(
-      value & opt int 3
-      & info [ "members" ] ~docv:"N"
-          ~doc:"Cluster size for $(b,--cluster).")
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -832,7 +783,7 @@ let chaos_cmd =
           check the convergence invariants.")
     Term.(
       const chaos $ seed_arg $ switches $ tenants $ loss $ raw $ faults
-      $ window $ cluster $ members)
+      $ window $ controllers)
 
 let () =
   let info =

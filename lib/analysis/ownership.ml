@@ -289,10 +289,12 @@ let default =
                engine, switches, host model, recorder and tracer, and \
                every channel, underlay frame, control action and receipt \
                between shards is a Shard_engine post carrying its link \
-               latency";
+               latency; its management-plane uplink/term tables are the \
+               synchronous arbitration point for a controller cluster's \
+               mastership claims, which runs on one shard";
         };
         (* The controller cluster: each member's coordination state is
-           pinned to its own controller domain; the plane and the Coord
+           pinned to its own controller domain; Network and the Coord
            grammar are the crossing fabric between those domains. *)
         { path = "lib/cluster/member.ml"; cls = Shard_local; why = None };
         {
@@ -302,15 +304,6 @@ let default =
             Some
               "the Coord grammar is the inter-controller wire format; \
                values are immutable messages, ownership transfers on send";
-        };
-        {
-          path = "lib/cluster/plane.ml";
-          cls = Shard_crossing;
-          why =
-            Some
-              "the cluster wiring owns every inter-domain channel plus the \
-               management-plane uplink/term arrays, the synchronous \
-               arbitration point for mastership claims";
         };
         {
           path = "lib/metrics/";

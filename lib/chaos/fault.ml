@@ -50,8 +50,9 @@ let pp_event fmt e =
         (kind_label e.kind)
         (Ids.Switch_id.to_int e.primary)
   | Controller_kill | Controller_partition ->
-      (* [primary] is reduced to a member index (mod cluster size) by the
-         cluster injector; print it raw so fingerprints stay stable. *)
+      (* [Scenario.inject] reduces [primary] to a controller index (mod
+         the controller count); print it raw so fingerprints stay
+         stable. *)
       Format.fprintf fmt "%a+%a %s #%d" Time.pp e.at Time.pp e.duration
         (kind_label e.kind)
         (Ids.Switch_id.to_int e.primary)

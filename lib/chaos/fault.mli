@@ -14,18 +14,18 @@ type kind =
   | Data_path      (** break the one-way underlay path, with notification *)
   | Burst_loss     (** network-wide loss storm on all control channels *)
   | Controller_kill
-      (** kill one controller-cluster member mid-run (cluster planes
-          only; a no-op on the single-controller plane) *)
+      (** kill one controller-cluster member mid-run (a no-op at one
+          controller) *)
   | Controller_partition
       (** cut one member off the coordination mesh — control links stay
           up, so both sides of the split keep claiming switches until
-          the heal reconciles terms (cluster planes only) *)
+          the heal reconciles terms (a no-op at one controller) *)
 
 val all_kinds : kind list
 (** The single-controller vocabulary (no cluster faults). *)
 
 val cluster_kinds : kind list
-(** What a controller-cluster plane can inject: the two controller
+(** What a controller cluster can inject: the two controller
     faults plus the switch/loss faults that remain meaningful there. *)
 
 val kind_label : kind -> string
@@ -35,8 +35,8 @@ type event = {
   duration : Time.t;
   kind : kind;
   primary : Ids.Switch_id.t;
-      (** for controller faults, reduced to a member index by the
-          injector ([to_int] mod cluster size) *)
+      (** for controller faults, reduced to a controller index by
+          [Scenario.inject] ([to_int] mod the controller count) *)
   secondary : Ids.Switch_id.t;
       (** the far end for [Peer_link]/[Data_path]; ignored otherwise *)
 }

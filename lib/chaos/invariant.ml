@@ -105,27 +105,95 @@ let check_monitor controller =
   in
   { name = "all monitors healthy"; ok = List.is_empty bad; detail = String.concat " " bad }
 
-let check_exactly_once_stats (s : Lazyctrl_openflow.Reliable.stats) =
+let check_exactly_once net =
+  let v = (Network.reliability_stats net).Lazyctrl_openflow.Reliable.violations in
   {
     name = "no duplicate delivery";
-    ok = s.Lazyctrl_openflow.Reliable.violations = 0;
-    detail =
-      (if s.Lazyctrl_openflow.Reliable.violations = 0 then ""
-       else Printf.sprintf "%d violations" s.Lazyctrl_openflow.Reliable.violations);
+    ok = v = 0;
+    detail = (if v = 0 then "" else Printf.sprintf "%d violations" v);
   }
 
-let check_exactly_once net =
-  check_exactly_once_stats (Network.reliability_stats net)
+(* Every live switch's management-plane master is alive, holds a group
+   configuration covering the switch, and the switch's own mastership
+   term agrees with the management plane. *)
+let check_homed net live =
+  let alive = Network.alive_controllers net in
+  let bad =
+    List.filter_map
+      (fun (sid, es) ->
+        let k = Network.uplink_of net sid in
+        let master_alive = List.mem k alive in
+        let configured =
+          master_alive
+          && Option.is_some
+               (Controller.group_config_of (Network.controller net k) sid)
+        in
+        let term_ok = Edge_switch.master_term es = Network.term_of net sid in
+        if master_alive && configured && term_ok then None
+        else
+          Some
+            (Format.asprintf "%a@c%d%s%s%s" Sid.pp sid k
+               (if master_alive then "" else ":dead-master")
+               (if configured || not master_alive then "" else ":unconfigured")
+               (if term_ok then "" else ":stale-term")))
+      live
+  in
+  {
+    name = "homed";
+    ok = List.is_empty bad;
+    detail =
+      (if List.is_empty bad then
+         Printf.sprintf "%d live switches mastered by live, configured members"
+           (List.length live)
+       else String.concat " " bad);
+  }
 
+(* No group is mastered by two alive members. *)
+let check_disjoint net =
+  let seen = Hashtbl.create 16 in
+  let dups = ref [] in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (g, _) ->
+          match Hashtbl.find_opt seen (Ids.Group_id.to_int g) with
+          | Some j ->
+              dups := Format.asprintf "%a@c%d+c%d" Ids.Group_id.pp g j k :: !dups
+          | None -> Hashtbl.replace seen (Ids.Group_id.to_int g) k)
+        (Lazyctrl_cluster.Member.owned (Network.member net k)))
+    (Network.alive_controllers net);
+  let dups = List.rev !dups in
+  {
+    name = "disjoint-ownership";
+    ok = List.is_empty dups;
+    detail =
+      (if List.is_empty dups then
+         Printf.sprintf "%d groups, each mastered by one alive member"
+           (Hashtbl.length seen)
+       else String.concat " " dups);
+  }
+
+(* Each list keeps the order its plane's fingerprint has always printed. *)
 let check_all net =
-  match Network.lazy_controller net with
-  | None -> []
-  | Some controller ->
-      let live = live_switches net in
+  match Network.mode net with
+  | Network.Openflow -> []
+  | Network.Lazy when Network.controllers net = 1 ->
+      let c = Network.controller net 0 and live = live_switches net in
       [
         check_grouped live;
-        check_clib controller live;
+        check_clib c live;
         check_bloom live;
-        check_monitor controller;
+        check_monitor c;
         check_exactly_once net;
       ]
+  | Network.Lazy ->
+      let live = live_switches net in
+      let per_controller =
+        List.concat_map
+          (fun k ->
+            let c = Network.controller net k in
+            [ check_clib c live; check_monitor c ])
+          (Network.alive_controllers net)
+      in
+      (check_grouped live :: check_bloom live :: per_controller)
+      @ [ check_exactly_once net; check_homed net live; check_disjoint net ]

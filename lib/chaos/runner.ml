@@ -10,9 +10,11 @@ module Topology = Lazyctrl_topo.Topology
 module Sid = Ids.Switch_id
 module Tracer = Lazyctrl_trace.Tracer
 module Tev = Lazyctrl_trace.Event
+module Member = Lazyctrl_cluster.Member
 
 type config = {
   seed : int;
+  controllers : int;
   n_switches : int;
   n_tenants : int;
   loss : float;           (* baseline per-message loss on every channel *)
@@ -21,6 +23,7 @@ type config = {
   spec : Scenario.spec;
   migrations : int;
   flows_per_tenant : int;
+  group_size_limit : int;
   warmup : Time.t;
   settle : Time.t;
   poll : Time.t;
@@ -29,6 +32,7 @@ type config = {
 let default_config =
   {
     seed = 42;
+    controllers = 1;
     n_switches = 12;
     n_tenants = 6;
     loss = 0.05;
@@ -37,23 +41,50 @@ let default_config =
     spec = Scenario.default;
     migrations = 4;
     flows_per_tenant = 2;
+    group_size_limit = 6;
     warmup = Time.of_sec 20;
     settle = Time.of_min 2;
     poll = Time.of_sec 2;
   }
 
-(* Tight timers so detection and re-sync happen within simulated seconds. *)
-let quick_controller_config reliable =
+(* Small groups so each of the three members owns several, giving kills
+   and handoffs something to move. *)
+let cluster_config =
+  {
+    default_config with
+    controllers = 3;
+    n_switches = 16;
+    loss = 0.0;
+    dup = 0.0;
+    spec =
+      {
+        Scenario.default with
+        Scenario.kinds = Fault.cluster_kinds;
+        n_faults = 4;
+        window = Time.of_sec 40;
+        min_duration = Time.of_sec 8;
+        max_duration = Time.of_sec 15;
+      };
+    migrations = 0;
+    flows_per_tenant = 3;
+    group_size_limit = 4;
+    warmup = Time.of_sec 30;
+    settle = Time.of_min 3;
+  }
+
+(* Tight timers so detection, re-sync and re-homing happen within
+   simulated seconds. *)
+let controller_config cfg =
   {
     Controller.default_config with
-    Controller.group_size_limit = 6;
+    Controller.group_size_limit = cfg.group_size_limit;
     sync_period = Time.of_sec 10;
     keepalive_period = Time.of_sec 2;
     echo_period = Time.of_sec 5;
     echo_timeout = Time.of_sec 12;
     daemon_period = Time.of_sec 5;
     incremental_updates = false;
-    reliable_state = reliable;
+    reliable_state = cfg.reliable;
   }
 
 type result = {
@@ -63,7 +94,12 @@ type result = {
   link : Network.link_totals;
   reliability : Reliable.stats;
   switch_stats : Edge_switch.stats;
-  controller_stats : Controller.stats option;
+  controller_stats : Controller.stats list;
+  member_stats : Member.stats;
+  flows_started : int;
+  flows_delivered : int;
+  resolutions_failed : int;
+  involvement : float;
   fingerprint : string;
 }
 
@@ -71,28 +107,28 @@ let delivery_ratio (l : Network.link_totals) =
   if l.Network.links_sent = 0 then 1.0
   else float_of_int l.Network.links_delivered /. float_of_int l.Network.links_sent
 
-let fingerprint_of ~events ~reports ~converged_after ~link ~reliability
-    ~switch_stats ~controller_stats ~at =
+let fingerprint_of r ~at =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  List.iter (fun e -> add "event %s\n" (Format.asprintf "%a" Fault.pp_event e)) events;
+  List.iter (fun e -> add "event %s\n" (Format.asprintf "%a" Fault.pp_event e)) r.events;
   List.iter
     (fun r -> add "invariant %s\n" (Format.asprintf "%a" Invariant.pp_report r))
-    reports;
-  (match converged_after with
+    r.reports;
+  (match r.converged_after with
   | Some t -> add "converged_after %d\n" (Time.to_ns t)
   | None -> add "converged_after none\n");
+  let link = r.link in
   add "link sent=%d delivered=%d dropped=%d lost=%d duplicated=%d\n"
     link.Network.links_sent link.Network.links_delivered link.Network.links_dropped
     link.Network.links_lost link.Network.links_duplicated;
-  let r = reliability in
+  let s = r.reliability in
   add
     "reliable data=%d retrans=%d acks=%d delivered=%d dups=%d stale=%d tail=%d \
      give_ups=%d violations=%d\n"
-    r.Reliable.data_sent r.Reliable.retransmits r.Reliable.acks_sent
-    r.Reliable.delivered r.Reliable.dups_ignored r.Reliable.stale_dropped
-    r.Reliable.tail_dropped r.Reliable.give_ups r.Reliable.violations;
-  let s = switch_stats in
+    s.Reliable.data_sent s.Reliable.retransmits s.Reliable.acks_sent
+    s.Reliable.delivered s.Reliable.dups_ignored s.Reliable.stale_dropped
+    s.Reliable.tail_dropped s.Reliable.give_ups s.Reliable.violations;
+  let s = r.switch_stats in
   add
     "switch from_hosts=%d delivered=%d encap=%d ft=%d lfib=%d gfib=%d gdup=%d \
      punted=%d fp=%d arp_l=%d arp_g=%d adverts=%d ka=%d miss_buf=%d miss_rep=%d\n"
@@ -103,9 +139,8 @@ let fingerprint_of ~events ~reports ~converged_after ~link ~reliability
     s.Edge_switch.arp_local_answered s.Edge_switch.arp_group_escalated
     s.Edge_switch.adverts_sent s.Edge_switch.keepalives_sent
     s.Edge_switch.misses_buffered s.Edge_switch.misses_replayed;
-  (match controller_stats with
-  | None -> ()
-  | Some c ->
+  List.iter
+    (fun (c : Controller.stats) ->
       add
         "controller requests=%d packet_ins=%d arp_esc=%d reports=%d alarms=%d \
          fmods=%d pouts=%d relays=%d floods=%d updates=%d regroups=%d \
@@ -115,7 +150,19 @@ let fingerprint_of ~events ~reports ~converged_after ~link ~reliability
         c.Controller.flow_mods_sent c.Controller.packet_outs_sent
         c.Controller.arp_relays c.Controller.floods c.Controller.grouping_updates
         c.Controller.full_regroups c.Controller.failovers_handled
-        c.Controller.preloaded_rules);
+        c.Controller.preloaded_rules)
+    r.controller_stats;
+  if List.length r.controller_stats > 1 then begin
+    let m = r.member_stats in
+    add
+      "member hellos=%d rehomes=%d adoptions=%d releases=%d handoffs=%d \
+       deaths=%d revivals=%d ctrl_failures=%d\n"
+      m.Member.hellos_sent m.Member.rehomes_sent m.Member.adoptions
+      m.Member.releases m.Member.handoffs_offered m.Member.peer_deaths
+      m.Member.peer_revivals m.Member.controller_failure_verdicts
+  end;
+  add "flows started=%d delivered=%d unresolved=%d\n" r.flows_started
+    r.flows_delivered r.resolutions_failed;
   add "clock %d\n" (Time.to_ns at);
   Buffer.contents b
 
@@ -150,31 +197,35 @@ let run ?(tracer = Tracer.disabled) cfg =
     }
   in
   let net =
-    Network.create ~params
-      ~controller_config:(quick_controller_config cfg.reliable)
-      ~tracer ~mode:Network.Lazy ~topo ~horizon:(Time.of_hour 2) ()
+    Network.create ~params ~controller_config:(controller_config cfg) ~tracer
+      ~controllers:cfg.controllers ~mode:Network.Lazy ~topo
+      ~horizon:(Time.of_hour 2) ()
   in
   let engine = Network.engine net in
   Network.bootstrap net ();
   Network.run net ~until:cfg.warmup;
-  (* Background traffic so the data plane has something to lose. *)
+  (* Tenant flows at seeded offsets across the fault window, so faults
+     land while traffic is resolving and punting. *)
   let flow_rng = Prng.named rng "flows" in
+  let window_ms = Time.to_ns cfg.spec.Scenario.window / 1_000_000 in
   List.iter
     (fun tid ->
       let hosts = Array.of_list (Topology.tenant_hosts topo tid) in
       if Array.length hosts >= 2 then
         for _ = 1 to cfg.flows_per_tenant do
           let a = Prng.choose flow_rng hosts and b = Prng.choose flow_rng hosts in
+          let after = Time.of_ms (Prng.int flow_rng (max 1 window_ms)) in
           if not (Ids.Host_id.equal a.Host.id b.Host.id) then
-            Network.start_flow net ~src:a.Host.id ~dst:b.Host.id ~bytes:20_000
-              ~packets:10
+            ignore
+              (Engine.schedule engine ~after (fun () ->
+                   Network.start_flow net ~src:a.Host.id ~dst:b.Host.id
+                     ~bytes:20_000 ~packets:10))
         done)
     (Topology.tenants topo);
   (* Seeded VM migrations interleaved with the fault window, driving the
      state-dissemination path while it is under attack. *)
   let mig_rng = Prng.named rng "migrations" in
   let all_hosts = Array.of_list (Topology.hosts topo) in
-  let window_ms = Time.to_ns cfg.spec.Scenario.window / 1_000_000 in
   for _ = 1 to cfg.migrations do
     let h = Prng.choose mig_rng all_hosts in
     let dst = Sid.of_int (Prng.int mig_rng cfg.n_switches) in
@@ -209,7 +260,12 @@ let run ?(tracer = Tracer.disabled) cfg =
                emit_fault e "repair")))
       events
   end;
-  let repair_done = Time.add (Engine.now engine) (Scenario.last_repair events) in
+  (* Settle only after both the last repair and the flow window have
+     passed — a fault-free scenario must still see its traffic. *)
+  let repair_done =
+    Time.add (Engine.now engine)
+      (Time.max (Scenario.last_repair events) cfg.spec.Scenario.window)
+  in
   Network.run net ~until:(Time.add repair_done (Time.of_ms 1));
   let deadline = Time.add repair_done cfg.settle in
   let rec settle () =
@@ -223,23 +279,31 @@ let run ?(tracer = Tracer.disabled) cfg =
     end
   in
   let reports, converged_after = settle () in
-  let link = Network.link_stats net in
-  let reliability = Network.reliability_stats net in
   let switch_stats = Network.switch_stats_sum net in
-  let controller_stats =
-    Option.map Controller.stats (Network.lazy_controller net)
+  let s = switch_stats in
+  let datapath =
+    s.Edge_switch.flow_table_handled + s.Edge_switch.lfib_handled
+    + s.Edge_switch.gfib_handled + s.Edge_switch.punted
   in
-  let fingerprint =
-    fingerprint_of ~events ~reports ~converged_after ~link ~reliability
-      ~switch_stats ~controller_stats ~at:(Engine.now engine)
+  let hosts = Network.host_model net in
+  let r =
+    {
+      events;
+      reports;
+      converged_after;
+      link = Network.link_stats net;
+      reliability = Network.reliability_stats net;
+      switch_stats;
+      controller_stats =
+        List.init (Network.controllers net) (fun k ->
+            Controller.stats (Network.controller net k));
+      member_stats = Network.member_stats_sum net;
+      flows_started = Host_model.flows_started hosts;
+      flows_delivered = Host_model.flows_delivered hosts;
+      resolutions_failed = Host_model.resolutions_failed hosts;
+      involvement =
+        float_of_int s.Edge_switch.punted /. float_of_int (max 1 datapath);
+      fingerprint = "";
+    }
   in
-  {
-    events;
-    reports;
-    converged_after;
-    link;
-    reliability;
-    switch_stats;
-    controller_stats;
-    fingerprint;
-  }
+  { r with fingerprint = fingerprint_of r ~at:(Engine.now engine) }

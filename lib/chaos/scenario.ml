@@ -62,6 +62,10 @@ let inject net spec ~baseline events =
   (* Burst storms may overlap: restore the baseline model only when the
      last overlapping storm ends. *)
   let storms = ref 0 in
+  (* Controller faults reduce the drawn switch to a controller index. *)
+  let controller_of (e : Fault.event) =
+    Sid.to_int e.primary mod Network.controllers net
+  in
   let start_burst () =
     incr storms;
     Network.set_control_loss net (Some spec.burst);
@@ -94,11 +98,18 @@ let inject net spec ~baseline events =
               fun () ->
                 Network.repair_data_path net ~src:e.primary ~dst:e.secondary )
         | Fault.Burst_loss -> (start_burst, end_burst)
-        | Fault.Controller_kill | Fault.Controller_partition ->
-            (* Cluster-only faults: the single-controller plane has no
-               member to kill or mesh to cut. The cluster runner has its
-               own injector over [Lazyctrl_cluster.Plane]. *)
+        | Fault.Controller_kill | Fault.Controller_partition
+          when Network.controllers net = 1 ->
+            (* A single controller has no member to kill or mesh to cut. *)
             ((fun () -> ()), fun () -> ())
+        | Fault.Controller_kill ->
+            let k = controller_of e in
+            ( (fun () -> Network.kill_controller net k),
+              fun () -> Network.revive_controller net k )
+        | Fault.Controller_partition ->
+            let k = controller_of e in
+            ( (fun () -> Network.partition_controller net k),
+              fun () -> Network.heal_controller net k )
       in
       ignore (Engine.schedule engine ~after:e.at fail);
       ignore (Engine.schedule engine ~after:(Fault.repair_at e) repair))

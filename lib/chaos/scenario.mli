@@ -38,4 +38,6 @@ val inject :
   unit
 (** Schedule every fault and its repair, offsets relative to now.
     [baseline] is the (control, peer) loss model to restore when the last
-    overlapping burst storm ends. *)
+    overlapping burst storm ends.  A controller fault targets controller
+    [primary mod controllers] of a cluster and is inert at one
+    controller. *)

@@ -49,6 +49,31 @@ type stats = {
   controller_failure_verdicts : int;
 }
 
+let stats_zero =
+  {
+    hellos_sent = 0;
+    rehomes_sent = 0;
+    adoptions = 0;
+    releases = 0;
+    handoffs_offered = 0;
+    peer_deaths = 0;
+    peer_revivals = 0;
+    controller_failure_verdicts = 0;
+  }
+
+let stats_add a b =
+  {
+    hellos_sent = a.hellos_sent + b.hellos_sent;
+    rehomes_sent = a.rehomes_sent + b.rehomes_sent;
+    adoptions = a.adoptions + b.adoptions;
+    releases = a.releases + b.releases;
+    handoffs_offered = a.handoffs_offered + b.handoffs_offered;
+    peer_deaths = a.peer_deaths + b.peer_deaths;
+    peer_revivals = a.peer_revivals + b.peer_revivals;
+    controller_failure_verdicts =
+      a.controller_failure_verdicts + b.controller_failure_verdicts;
+  }
+
 type peer = {
   mutable last_seen : Time.t;
   mutable p_load : int;

@@ -68,6 +68,9 @@ type stats = {
       (** probed switches whose evidence inferred as Controller_failure *)
 }
 
+val stats_zero : stats
+val stats_add : stats -> stats -> stats
+
 type t
 
 val create : env -> config -> t

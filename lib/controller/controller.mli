@@ -128,8 +128,10 @@ val current_intensity : t -> Wgraph.t
 (** {2 Controller-cluster sharding}
 
     A cluster member is an ordinary controller instance owning a slice of
-    the LCGs. The coordination layer ({!Lazyctrl_cluster}) assigns and
-    migrates slices; these entry points are what it drives. *)
+    the LCGs. The member logic ({!Lazyctrl_cluster.Member}) bootstraps
+    and migrates slices; these entry points are what it drives.  A
+    network sharded by LCG also bootstraps its one controller through
+    {!bootstrap_shard}. *)
 
 val bootstrap_shard :
   t -> groups:(Ids.Group_id.t * Ids.Switch_id.t list) list -> unit

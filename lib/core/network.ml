@@ -6,6 +6,7 @@ open Lazyctrl_traffic
 open Lazyctrl_openflow
 open Lazyctrl_switch
 open Lazyctrl_controller
+open Lazyctrl_cluster
 open Lazyctrl_baseline
 open Lazyctrl_metrics
 module Prng = Lazyctrl_util.Prng
@@ -31,11 +32,26 @@ let set_unit_codec ch =
 
 type mode = Lazy | Openflow
 
+(* The lazy plane at any controller count.  Controller [k] has one
+   service queue and a pair of spokes to every switch; the per-switch
+   management-plane tables [uplink] (current master) and [terms]
+   (mastership generation) pick the spoke a switch talks on.  One
+   controller is the arrays of length one: every uplink is 0, and there
+   are no members and no coordination mesh. *)
 type lazy_plane = {
-  controller : Controller.t;
+  controllers : Controller.t array;
+  members : Member.t array; (* one per controller at two or more *)
   switches : Edge_switch.t array;
-  ctrl_up : Edge_switch.msg Channel.t array;   (* switch -> controller *)
-  ctrl_down : Edge_switch.msg Channel.t array; (* controller -> switch *)
+  up : Edge_switch.msg Channel.t array array;
+      (* up.(k).(i): switch i -> controller k *)
+  down : Edge_switch.msg Channel.t array array;
+      (* down.(k).(i): controller k -> switch i *)
+  coord : Coord.t Channel.t array array; (* coord.(k).(j): member k -> j *)
+  uplink : int array;
+  terms : int array;
+  alive : bool array; (* per controller *)
+  cut : bool array; (* per controller: partitioned off the coordination mesh *)
+  group_size_limit : int; (* for the cluster's initial grouping *)
   peers : (int * int, Edge_switch.msg Channel.t) Hashtbl.t array;
       (* per sending shard: a lazily created link is registered by the
          shard that sends on it *)
@@ -209,15 +225,18 @@ let apply_loss loss_rng spec ch =
       Channel.set_loss ch ~rng:(Prng.named loss_rng ("loss:" ^ Channel.name ch)) spec
 
 (* The directed peer link [key] = (src, dst), created on first use with
-   the plane's current peer loss and registered in [peer]. *)
-let peer_channel ~link params ~loss_rng ~peer_loss ~switch peer key =
-  match Hashtbl.find_opt peer key with
+   the plane's current peer loss on the sending switch's shard, which
+   registers it in its own table of [peers]. *)
+let peer_channel ~sharder ~shard_of params ~loss_rng ~peer_loss ~switch peers
+    key =
+  let src, dst = key in
+  let s = shard_of.(src) in
+  match Hashtbl.find_opt peers.(s) key with
   | Some ch -> ch
   | None ->
-      let src, dst = key in
-      let engine, post = link src dst in
       let ch =
-        Channel.create ~strict:true engine ~post
+        Channel.create ~strict:true (Shard_engine.engine sharder s)
+          ~post:(link sharder ~src:s ~dst:shard_of.(dst))
           ~latency:params.Params.peer_link_latency
           ~name:(Printf.sprintf "peer-%d-%d" src dst)
           ()
@@ -227,16 +246,14 @@ let peer_channel ~link params ~loss_rng ~peer_loss ~switch peer key =
       Channel.set_receiver ch (fun msg ->
           Edge_switch.handle_peer_message (switch dst) ~from:(Sid.of_int src)
             msg);
-      Hashtbl.replace peer key ch;
+      Hashtbl.replace peers.(s) key ch;
       ch
 
-(* The sending switch's engine and the post towards the receiving one. *)
-let peer_link sharder shard_of src dst =
-  let s = shard_of.(src) in
-  (Shard_engine.engine sharder s, link sharder ~src:s ~dst:shard_of.(dst))
+(* Inter-controller link latency of the coordination mesh. *)
+let coord_latency = Time.of_us 500
 
-let make_lazy_plane ~params ~controller_config ~tracers ~sharder ~ctrl_shard
-    ~shard_of ~topo ~underlays ~deliver_local =
+let make_lazy_plane ~params ~controller_config ~n_ctrl ~tracers ~sharder
+    ~ctrl_shard ~shard_of ~topo ~underlays ~deliver_local =
   let n = Topology.n_switches topo in
   let engine_of = Shard_engine.engine sharder in
   let ctrl_engine = engine_of ctrl_shard in
@@ -245,91 +262,207 @@ let make_lazy_plane ~params ~controller_config ~tracers ~sharder ~ctrl_shard
   let peer_loss = ref params.Params.peer_loss in
   let switches : Edge_switch.t option array = Array.make n None in
   let get_switch i = Option.get switches.(i) in
-  let ctrl_channel dir i ~src ~dst =
+  (* Channel names key the loss streams and the controller label keys
+     its PRNG stream, so one controller keeps the single-controller
+     names and a cluster numbers its controllers. *)
+  let ctrl_channel dir k i ~src ~dst =
+    let name =
+      if n_ctrl = 1 then Printf.sprintf "ctrl-%s-%d" dir i
+      else Printf.sprintf "c%d-%s-%d" k dir i
+    in
     let ch =
       Channel.create ~strict:true (engine_of src) ~post:(link sharder ~src ~dst)
-        ~latency:params.Params.control_link_latency
-        ~name:(Printf.sprintf "ctrl-%s-%d" dir i) ()
+        ~latency:params.Params.control_link_latency ~name ()
     in
     set_proto_codec ch;
     apply_loss loss_rng params.Params.control_loss ch;
     ch
   in
-  let ctrl_up =
-    Array.init n (fun i -> ctrl_channel "up" i ~src:shard_of.(i) ~dst:ctrl_shard)
+  let up =
+    Array.init n_ctrl (fun k ->
+        Array.init n (fun i ->
+            ctrl_channel "up" k i ~src:shard_of.(i) ~dst:ctrl_shard))
   in
-  let ctrl_down =
-    Array.init n (fun i -> ctrl_channel "down" i ~src:ctrl_shard ~dst:shard_of.(i))
+  let down =
+    Array.init n_ctrl (fun k ->
+        Array.init n (fun i ->
+            ctrl_channel "down" k i ~src:ctrl_shard ~dst:shard_of.(i)))
+  in
+  (* The coordination mesh stays value-passing and loss-free: it is the
+     management plane between controller processes, not switch-facing
+     OpenFlow, and only goes down under faults (DESIGN.md §13). *)
+  let n_members = if n_ctrl = 1 then 0 else n_ctrl in
+  let coord =
+    Array.init n_members (fun k ->
+        Array.init n_members (fun j ->
+            Channel.create ~strict:true ctrl_engine
+              ~post:(link sharder ~src:ctrl_shard ~dst:ctrl_shard)
+              ~latency:coord_latency
+              ~name:(Printf.sprintf "coord-%d-%d" k j)
+              ()))
   in
   let peers = Array.map (fun _ -> Hashtbl.create 1024) underlays in
-  let peer_link = peer_link sharder shard_of in
   let peer_channel src dst =
-    let src = Sid.to_int src in
-    peer_channel ~link:peer_link params ~loss_rng ~peer_loss ~switch:get_switch
-      peers.(shard_of.(src)) (src, Sid.to_int dst)
+    peer_channel ~sharder ~shard_of params ~loss_rng ~peer_loss
+      ~switch:get_switch peers (Sid.to_int src, Sid.to_int dst)
   in
   let relay = Hashtbl.create 8 in
-  let service =
-    Service_queue.create ctrl_engine ~service_time:params.Params.controller_service
+  let alive = Array.make n_ctrl true in
+  let cut = Array.make n_ctrl false in
+  let uplink = Array.make n 0 in
+  let terms = Array.make n 0 in
+  let services =
+    Array.init n_ctrl (fun _ ->
+        Service_queue.create ctrl_engine
+          ~service_time:params.Params.controller_service)
   in
   (* Controller -> switch action after [after], on the switch's shard. *)
   let post_switch i ~after f =
     Shard_engine.post sharder ~src:ctrl_shard ~dst:shard_of.(i)
       ~at:(Time.add (Engine.now ctrl_engine) after) f
   in
-  let controller_env =
-    {
-      Controller.engine = ctrl_engine;
-      send_switch =
-        (fun sw msg ->
-          let i = Sid.to_int sw in
-          match Hashtbl.find_opt relay i with
-          | Some _ when not (Channel.is_up ctrl_down.(i)) ->
-              (* Controller → neighbour over its control link, neighbour →
-                 switch over the peer link; modelled as the combined
-                 latency with direct hand-off. *)
-              post_switch i
-                ~after:
-                  (Time.add params.Params.control_link_latency
-                     params.Params.peer_link_latency)
-                (fun () -> Edge_switch.handle_controller_message (get_switch i) msg)
-          | _ -> ignore (Channel.send ctrl_down.(i) msg));
-      reboot_switch =
-        (fun sw ->
-          let i = Sid.to_int sw in
-          post_switch i ~after:params.Params.reboot_delay (fun () ->
-              Edge_switch.set_up (get_switch i) true));
-      request_relay =
-        (fun sw ~via ->
-          let i = Sid.to_int sw in
-          (match via with
-          | Some v -> Hashtbl.replace relay i v
-          | None -> Hashtbl.remove relay i);
-          if shard_of.(i) = ctrl_shard then
-            Edge_switch.set_control_relay (get_switch i) via
-          else
-            post_switch i ~after:params.Params.control_link_latency (fun () ->
-                Edge_switch.set_control_relay (get_switch i) via));
-      rng = Prng.named rng "controller";
-    }
+  let send_coord k j msg = alive.(k) && Channel.send coord.(k).(j) msg in
+  (* Controller [k]'s message goes down its own spoke when it masters the
+     switch, otherwise over the mesh to the current master. *)
+  let send_switch k sw msg =
+    let i = Sid.to_int sw in
+    if uplink.(i) <> k then
+      ignore (send_coord k uplink.(i) (Coord.Fwd { from = k; dst = sw; msg }))
+    else
+      match Hashtbl.find_opt relay i with
+      | Some _ when not (Channel.is_up down.(k).(i)) ->
+          (* Controller → neighbour over its control link, neighbour →
+             switch over the peer link; modelled as the combined latency
+             with direct hand-off. *)
+          post_switch i
+            ~after:
+              (Time.add params.Params.control_link_latency
+                 params.Params.peer_link_latency)
+            (fun () -> Edge_switch.handle_controller_message (get_switch i) msg)
+      | _ -> ignore (Channel.send down.(k).(i) msg)
   in
-  let controller =
-    Controller.create ~tracer:tracers.(ctrl_shard) controller_env
-      controller_config ~n_switches:n
+  (* The ring relay is the single-controller §III-E2 path; a cluster
+     re-homes the switch instead. *)
+  let request_relay sw ~via =
+    let i = Sid.to_int sw in
+    if n_ctrl = 1 then begin
+      (match via with
+      | Some v -> Hashtbl.replace relay i v
+      | None -> Hashtbl.remove relay i);
+      if shard_of.(i) = ctrl_shard then
+        Edge_switch.set_control_relay (get_switch i) via
+      else
+        post_switch i ~after:params.Params.control_link_latency (fun () ->
+            Edge_switch.set_control_relay (get_switch i) via)
+    end
   in
+  let controllers =
+    Array.init n_ctrl (fun k ->
+        Controller.create ~tracer:tracers.(ctrl_shard)
+          {
+            Controller.engine = ctrl_engine;
+            send_switch = send_switch k;
+            reboot_switch =
+              (fun sw ->
+                let i = Sid.to_int sw in
+                post_switch i ~after:params.Params.reboot_delay (fun () ->
+                    Edge_switch.set_up (get_switch i) true));
+            request_relay;
+            rng =
+              Prng.named rng
+                (if n_ctrl = 1 then "controller"
+                 else Printf.sprintf "controller-%d" k);
+          }
+          controller_config ~n_switches:n)
+  in
+  (* Management-plane claim: reject stale terms with feedback, flip the
+     uplink on a winning claim and forward the Rehome to the switch on
+     the new master's FIFO channel (so it precedes the config push). *)
+  let rehome_claim k sw ~term =
+    let i = Sid.to_int sw in
+    if alive.(k) && term >= terms.(i) then begin
+      if term > terms.(i) then begin
+        terms.(i) <- term;
+        uplink.(i) <- k
+      end;
+      ignore
+        (Channel.send down.(k).(i)
+           (Message.Extension (Proto.Rehome { term; master = k })))
+    end;
+    terms.(i)
+  in
+  let oam_seq = ref 0 in
+  let probe k sw =
+    incr oam_seq;
+    ignore (Channel.send down.(k).(Sid.to_int sw) (Message.Echo_request !oam_seq))
+  in
+  let members =
+    Array.init n_members (fun k ->
+        Member.create
+          {
+            Member.engine = ctrl_engine;
+            self = k;
+            n_members;
+            controller = controllers.(k);
+            send_coord = send_coord k;
+            send_rehome = rehome_claim k;
+            probe_switch = probe k;
+          }
+          Member.default_config)
+  in
+  (* A spoke carries master traffic only; a slave spoke answers OAM
+     echoes below the session layer, and anything else from a stale
+     master is discarded on arrival. *)
   Array.iteri
-    (fun i ch ->
-      Channel.set_receiver ch (fun msg ->
-          Service_queue.submit service (fun () ->
-              Controller.handle_message controller ~from:(Sid.of_int i) msg)))
-    ctrl_up;
+    (fun k per_switch ->
+      Array.iteri
+        (fun i ch ->
+          Channel.set_receiver ch (fun msg ->
+              if alive.(k) then
+                if uplink.(i) = k then
+                  Service_queue.submit services.(k) (fun () ->
+                      if alive.(k) then
+                        Controller.handle_message controllers.(k)
+                          ~from:(Sid.of_int i) msg)
+                else
+                  match msg with
+                  | Message.Echo_reply _ ->
+                      Member.note_probe_reply members.(k) (Sid.of_int i)
+                  | _ -> ()))
+        per_switch)
+    up;
+  Array.iteri
+    (fun k row ->
+      Array.iteri
+        (fun j ch ->
+          Channel.set_receiver ch (fun msg ->
+              if alive.(j) then
+                match msg with
+                | Coord.Fwd { dst; msg; _ } -> send_switch j dst msg
+                | msg -> Member.handle members.(j) ~from:k msg))
+        row)
+    coord;
+  (* Members gossip C-LIB deltas and unresolved ARP relays to every peer
+     (raw; see Coord for the recovery story). *)
+  Array.iteri
+    (fun k _ ->
+      let broadcast msg =
+        for j = 0 to n_members - 1 do
+          if j <> k then ignore (send_coord k j msg)
+        done
+      in
+      Controller.set_clib_delta_hook controllers.(k) (fun delta ->
+          broadcast (Coord.Clib_delta { from = k; delta }));
+      Controller.set_arp_relay_hook controllers.(k) (fun ~origin packet ->
+          broadcast (Coord.Arp_relay { from = k; origin; packet })))
+    members;
   for i = 0 to n - 1 do
     let self = Sid.of_int i in
     let s = shard_of.(i) in
     let env =
       {
         Edge_switch.engine = engine_of s;
-        send_controller = (fun msg -> Channel.send ctrl_up.(i) msg);
+        send_controller = (fun msg -> Channel.send up.(uplink.(i)).(i) msg);
         send_peer =
           (fun p msg ->
             if not (Sid.equal p self) then
@@ -351,14 +484,32 @@ let make_lazy_plane ~params ~controller_config ~tracers ~sharder ~ctrl_shard
           ~post:(link sharder ~src:u ~dst:s)
           (fun pkt -> Edge_switch.handle_underlay sw pkt))
       underlays;
-    Channel.set_receiver ctrl_down.(i) (fun msg ->
-        Edge_switch.handle_controller_message sw msg)
+    Array.iteri
+      (fun k row ->
+        Channel.set_receiver row.(i) (fun msg ->
+            if uplink.(i) = k then Edge_switch.handle_controller_message sw msg
+            else
+              match msg with
+              | Message.Echo_request nonce ->
+                  (* slave-spoke OAM: answered below the switch's control
+                     session, proving datapath liveness *)
+                  if Edge_switch.is_up sw then
+                    ignore (Channel.send up.(k).(i) (Message.Echo_reply nonce))
+              | _ -> ()))
+      down
   done;
   {
-    controller;
+    controllers;
+    members;
     switches = Array.map Option.get switches;
-    ctrl_up;
-    ctrl_down;
+    up;
+    down;
+    coord;
+    uplink;
+    terms;
+    alive;
+    cut;
+    group_size_limit = controller_config.Controller.group_size_limit;
     peers;
     relay;
     loss_rng;
@@ -426,12 +577,18 @@ let make_of_plane ~params ~of_config ~sharder ~topo ~underlay ~deliver_local =
 let create ?(params = Params.default)
     ?(controller_config = Controller.default_config)
     ?(of_config = Of_controller.default_config)
-    ?(tracer = Tracer.disabled) ?(shards = 1) ?domains ~mode ~topo ~horizon () =
+    ?(tracer = Tracer.disabled) ?(shards = 1) ?domains ?(controllers = 1) ~mode
+    ~topo ~horizon () =
   let n = Topology.n_switches topo in
   let switch_shards = max 1 (min shards n) in
+  if controllers < 1 then invalid_arg "Network.create: need >= 1 controller";
   (match mode with
   | Openflow when switch_shards > 1 ->
       invalid_arg "Network.create: the OpenFlow plane runs on one shard"
+  | Openflow when controllers > 1 ->
+      invalid_arg "Network.create: the OpenFlow plane has one controller"
+  | Lazy when controllers > 1 && switch_shards > 1 ->
+      invalid_arg "Network.create: a controller cluster runs on one shard"
   | Lazy | Openflow -> ());
   let n_logical = if switch_shards = 1 then 1 else switch_shards + 1 in
   let ctrl_shard = n_logical - 1 in
@@ -487,8 +644,9 @@ let create ?(params = Params.default)
     match mode with
     | Lazy ->
         Lazy_plane
-          (make_lazy_plane ~params ~controller_config ~tracers ~sharder
-             ~ctrl_shard ~shard_of ~topo ~underlays ~deliver_local)
+          (make_lazy_plane ~params ~controller_config ~n_ctrl:controllers
+             ~tracers ~sharder ~ctrl_shard ~shard_of ~topo ~underlays
+             ~deliver_local)
     | Openflow ->
         Of_plane
           (make_of_plane ~params ~of_config ~sharder ~topo
@@ -546,12 +704,15 @@ let create ?(params = Params.default)
   let ctrl_recorder = recorders.(ctrl_shard) in
   (match t.plane with
   | Lazy_plane p ->
-      Array.iteri (fun i ch -> tap_ctrl_bytes shard_of.(i) ch) p.ctrl_up;
-      Array.iter (tap_ctrl_bytes ctrl_shard) p.ctrl_down;
-      Controller.set_request_hook p.controller (fun () ->
-          Recorder.on_controller_request ctrl_recorder);
-      Controller.set_update_hook p.controller (fun () ->
-          Recorder.on_grouping_update ctrl_recorder)
+      Array.iter (Array.iteri (fun i ch -> tap_ctrl_bytes shard_of.(i) ch)) p.up;
+      Array.iter (Array.iter (tap_ctrl_bytes ctrl_shard)) p.down;
+      Array.iter
+        (fun c ->
+          Controller.set_request_hook c (fun () ->
+              Recorder.on_controller_request ctrl_recorder);
+          Controller.set_update_hook c (fun () ->
+              Recorder.on_grouping_update ctrl_recorder))
+        p.controllers
   | Of_plane p ->
       Array.iter (tap_ctrl_bytes 0) p.of_ctrl_up;
       Array.iter (tap_ctrl_bytes 0) p.of_ctrl_down;
@@ -559,18 +720,52 @@ let create ?(params = Params.default)
           Recorder.on_controller_request ctrl_recorder));
   t
 
+(* A cluster's initial ownership: IniGroup over the whole fabric, group
+   [g] to member [g mod m], seeded into the management plane so routing
+   is right from the first message; each member's initial claim then
+   matches (equal term). *)
+let bootstrap_cluster t (p : lazy_plane) intensity =
+  let grouping =
+    Lazyctrl_grouping.Sgi.ini_group
+      ~rng:(Prng.named (Prng.create t.params.Params.seed) "ini-group")
+      ~limit:p.group_size_limit intensity
+  in
+  let m = Array.length p.members in
+  let entries =
+    List.init (Grouping.n_groups grouping) (fun g ->
+        let owner = g mod m in
+        {
+          Coord.v_group = Ids.Group_id.of_int g;
+          (* initial term ≡ owner (mod m) and > 0, as if owner had claimed *)
+          v_term = (if owner = 0 then m else owner);
+          v_owner = owner;
+          v_members = Grouping.members grouping (Ids.Group_id.of_int g);
+        })
+  in
+  List.iter
+    (fun (e : Coord.view_entry) ->
+      List.iter
+        (fun sw ->
+          p.uplink.(Sid.to_int sw) <- e.v_owner;
+          p.terms.(Sid.to_int sw) <- e.v_term)
+        e.v_members)
+    entries;
+  Array.iter (fun mem -> Member.start mem ~initial:entries) p.members
+
 let bootstrap t ?intensity () =
+  let history () =
+    match intensity with Some g -> g | None -> default_intensity t.topo
+  in
   match (t.plane, t.partition) with
   | Of_plane _, _ -> ()
+  | Lazy_plane p, None when Array.length p.members > 0 ->
+      bootstrap_cluster t p (history ())
   | Lazy_plane p, None ->
-      let intensity =
-        match intensity with Some g -> g | None -> default_intensity t.topo
-      in
-      Controller.bootstrap p.controller ~intensity
+      Controller.bootstrap p.controllers.(0) ~intensity:(history ())
   | Lazy_plane p, Some g ->
       if Option.is_some intensity then
         invalid_arg "Network.bootstrap: a sharded network keeps its frozen partition";
-      Controller.bootstrap_shard p.controller
+      Controller.bootstrap_shard p.controllers.(0)
         ~groups:
           (List.init (Grouping.n_groups g) (fun k ->
                let gid = Ids.Group_id.of_int k in
@@ -593,7 +788,24 @@ let run t ~until = Shard_engine.run t.sharder ~until
 let shutdown t = Shard_engine.shutdown t.sharder
 
 let lazy_controller t =
-  match t.plane with Lazy_plane p -> Some p.controller | Of_plane _ -> None
+  match t.plane with Lazy_plane p -> Some p.controllers.(0) | Of_plane _ -> None
+
+let controllers t =
+  match t.plane with Lazy_plane p -> Array.length p.controllers | Of_plane _ -> 1
+
+let get_lazy t =
+  match t.plane with
+  | Lazy_plane p -> p
+  | Of_plane _ -> invalid_arg "Network: the OpenFlow plane has no lazy controller"
+
+let controller t k = (get_lazy t).controllers.(k)
+let member t k = (get_lazy t).members.(k)
+let uplink_of t sw = (get_lazy t).uplink.(Sid.to_int sw)
+let term_of t sw = (get_lazy t).terms.(Sid.to_int sw)
+
+let alive_controllers t =
+  let p = get_lazy t in
+  List.filter (fun k -> p.alive.(k)) (List.init (Array.length p.alive) Fun.id)
 
 let of_controller t =
   match t.plane with Of_plane p -> Some p.of_controller | Lazy_plane _ -> None
@@ -647,16 +859,20 @@ let repair_switch t sw =
       let es = p.switches.(Sid.to_int sw) in
       if not (Edge_switch.is_up es) then Edge_switch.set_up es true)
 
+(* Every spoke of the switch fails; a repair restores the spokes of the
+   alive controllers. *)
 let fail_control_link t sw =
   with_lazy t (fun p ->
-      Channel.fail p.ctrl_up.(Sid.to_int sw);
-      Channel.fail p.ctrl_down.(Sid.to_int sw))
+      let i = Sid.to_int sw in
+      Array.iter (fun row -> Channel.fail row.(i)) p.up;
+      Array.iter (fun row -> Channel.fail row.(i)) p.down)
 
 let repair_control_link t sw =
   with_lazy t (fun p ->
       let i = Sid.to_int sw in
-      Channel.repair p.ctrl_up.(i);
-      Channel.repair p.ctrl_down.(i);
+      let repair k row = if p.alive.(k) then Channel.repair row.(i) in
+      Array.iteri repair p.up;
+      Array.iteri repair p.down;
       Hashtbl.remove p.relay i;
       Edge_switch.set_control_relay p.switches.(i) None)
 
@@ -673,10 +889,9 @@ let peer_bindings (p : lazy_plane) =
    also drop. *)
 let fail_peer_key t (p : lazy_plane) key =
   Channel.fail
-    (peer_channel
-       ~link:(peer_link t.sharder t.shard_of)
-       t.params ~loss_rng:p.loss_rng ~peer_loss:p.peer_loss
-       ~switch:(Array.get p.switches) (peer_table t p key) key)
+    (peer_channel ~sharder:t.sharder ~shard_of:t.shard_of t.params
+       ~loss_rng:p.loss_rng ~peer_loss:p.peer_loss
+       ~switch:(Array.get p.switches) p.peers key)
 
 let fail_peer_link t a b =
   with_lazy t (fun p ->
@@ -701,19 +916,82 @@ let fail_data_path t ~src ~dst ~notify =
     ~src:(Topology.underlay_ip t.topo src)
     ~dst:(Topology.underlay_ip t.topo dst);
   if notify then
-    with_lazy t (fun p -> Controller.notify_path_failure p.controller ~src ~dst)
+    with_lazy t (fun p ->
+        Controller.notify_path_failure
+          p.controllers.(p.uplink.(Sid.to_int src))
+          ~src ~dst)
 
 let repair_data_path t ~src ~dst =
   Underlay.repair_path (underlay_of t src)
     ~src:(Topology.underlay_ip t.topo src)
     ~dst:(Topology.underlay_ip t.topo dst)
 
+(* --- controller-cluster faults ------------------------------------------- *)
+
+let cluster_plane t =
+  match t.plane with
+  | Lazy_plane p when Array.length p.members > 0 -> p
+  | Lazy_plane _ | Of_plane _ -> invalid_arg "Network: not a controller cluster"
+
+let set_spokes (p : lazy_plane) k ~up =
+  let set ch = if up then Channel.repair ch else Channel.fail ch in
+  Array.iter set p.up.(k);
+  Array.iter set p.down.(k)
+
+(* A mesh link carries traffic only while both ends are alive and
+   neither is partitioned; recomputed wholesale after every change, so
+   overlapping faults stay consistent. *)
+let refresh_mesh (p : lazy_plane) =
+  let reachable k = p.alive.(k) && not p.cut.(k) in
+  Array.iteri
+    (fun k row ->
+      Array.iteri
+        (fun j ch ->
+          if k <> j then
+            if reachable k && reachable j then Channel.repair ch
+            else Channel.fail ch)
+        row)
+    p.coord
+
+let kill_controller t k =
+  let p = cluster_plane t in
+  if p.alive.(k) then begin
+    p.alive.(k) <- false;
+    Member.stop p.members.(k);
+    set_spokes p k ~up:false;
+    refresh_mesh p
+  end
+
+let revive_controller t k =
+  let p = cluster_plane t in
+  if not p.alive.(k) then begin
+    p.alive.(k) <- true;
+    p.cut.(k) <- false;
+    set_spokes p k ~up:true;
+    refresh_mesh p;
+    Member.restart p.members.(k)
+  end
+
+let partition_controller t k =
+  let p = cluster_plane t in
+  if not p.cut.(k) then begin
+    p.cut.(k) <- true;
+    refresh_mesh p
+  end
+
+let heal_controller t k =
+  let p = cluster_plane t in
+  if p.cut.(k) then begin
+    p.cut.(k) <- false;
+    refresh_mesh p
+  end
+
 (* --- channel loss injection ---------------------------------------------- *)
 
 let set_control_loss t spec =
   with_lazy t (fun p ->
-      Array.iter (apply_loss p.loss_rng spec) p.ctrl_up;
-      Array.iter (apply_loss p.loss_rng spec) p.ctrl_down)
+      Array.iter (Array.iter (apply_loss p.loss_rng spec)) p.up;
+      Array.iter (Array.iter (apply_loss p.loss_rng spec)) p.down)
 
 let set_peer_loss t spec =
   with_lazy t (fun p ->
@@ -758,8 +1036,8 @@ let link_add acc ch =
 let link_stats t =
   match t.plane with
   | Lazy_plane p ->
-      let acc = Array.fold_left link_add link_zero p.ctrl_up in
-      let acc = Array.fold_left link_add acc p.ctrl_down in
+      let spokes = Array.fold_left (Array.fold_left link_add) in
+      let acc = spokes (spokes link_zero p.up) p.down in
       List.fold_left (fun acc (_, ch) -> link_add acc ch) acc (peer_bindings p)
   | Of_plane p ->
       let acc = Array.fold_left link_add link_zero p.of_ctrl_up in
@@ -774,17 +1052,30 @@ let ctrl_bytes_sent t =
     Array.fold_left (fun acc ch -> acc + Channel.bytes_sent ch) acc arr
   in
   match t.plane with
-  | Lazy_plane p -> sum (sum 0 p.ctrl_up) p.ctrl_down
+  | Lazy_plane p ->
+      let spokes = Array.fold_left sum in
+      spokes (spokes 0 p.up) p.down
   | Of_plane p -> sum (sum 0 p.of_ctrl_up) p.of_ctrl_down
 
 let reliability_stats t =
   match t.plane with
   | Of_plane _ -> Reliable.stats_zero
   | Lazy_plane p ->
+      let add f acc x = Reliable.stats_add acc (f x) in
+      let acc =
+        Array.fold_left (add Controller.reliable_stats) Reliable.stats_zero
+          p.controllers
+      in
+      let acc = Array.fold_left (add Edge_switch.reliable_stats) acc p.switches in
+      Array.fold_left (add Member.reliable_stats) acc p.members
+
+let member_stats_sum t =
+  match t.plane with
+  | Of_plane _ -> Member.stats_zero
+  | Lazy_plane p ->
       Array.fold_left
-        (fun acc sw -> Reliable.stats_add acc (Edge_switch.reliable_stats sw))
-        (Controller.reliable_stats p.controller)
-        p.switches
+        (fun acc m -> Member.stats_add acc (Member.stats m))
+        Member.stats_zero p.members
 
 (* --- shard accounting ------------------------------------------------------ *)
 
@@ -829,7 +1120,7 @@ let fingerprint t =
     s.flow_table_handled s.lfib_handled s.gfib_handled s.gfib_duplicates
     s.punted s.fp_drops s.arp_local_answered s.arp_group_escalated
     s.adverts_sent s.keepalives_sent s.misses_buffered s.misses_replayed;
-  Option.iter
+  Array.iter
     (fun c ->
       let cs = Controller.stats c in
       addf
@@ -839,7 +1130,7 @@ let fingerprint t =
         cs.ring_alarms cs.flow_mods_sent cs.packet_outs_sent cs.arp_relays
         cs.floods cs.grouping_updates cs.full_regroups cs.failovers_handled
         cs.preloaded_rules)
-    (lazy_controller t);
+    (match t.plane with Lazy_plane p -> p.controllers | Of_plane _ -> [||]);
   Option.iter
     (fun g ->
       Array.iteri

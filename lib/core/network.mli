@@ -8,6 +8,23 @@
     metrics recorders.  This is the one assembly examples, experiments,
     the benchmark and the CLI drive.
 
+    The lazy plane has one central controller or a cluster of
+    [~controllers] of them ({!Lazyctrl_cluster.Member}s splitting the
+    LCGs, joined by a coordination mesh).  Controller [k] has its own
+    service queue and a pair of control channels (spokes) to every
+    switch; the management plane — the per-switch [uplink] (current
+    master) and [term] (mastership generation) — decides which spoke a
+    switch talks on, mirroring how real deployments arbitrate mastership
+    below the controller applications (OpenFlow role/generation_id).  A
+    {!Lazyctrl_cluster.Coord.view_entry} claim is applied synchronously
+    at claim time: stale terms are rejected with feedback, winning claims
+    flip the uplink and forward the {!Lazyctrl_switch.Proto.Rehome} to
+    the switch on the new master's FIFO channel, ahead of the config push
+    that follows.  Messages from a stale master are discarded on arrival,
+    so a switch never acts on two masters at once.  One controller is the
+    arrays of length one: every uplink is 0, and there are no members and
+    no coordination mesh.
+
     The lazy plane may run sharded by Local Control Group ([~shards] >
     1) on {!Lazyctrl_sim.Shard_engine}.  The partition is the paper's
     own: a static [Sgi.ini_group] over {!default_intensity}, frozen at
@@ -42,6 +59,7 @@ val create :
   ?tracer:Lazyctrl_trace.Tracer.t ->
   ?shards:int ->
   ?domains:int ->
+  ?controllers:int ->
   mode:mode ->
   topo:Topology.t ->
   horizon:Time.t ->
@@ -61,8 +79,14 @@ val create :
     every logical shard gets its own host model, recorder and tracer
     (shard 0 keeps [tracer]; the others are {!Lazyctrl_trace.Tracer.derive}d
     from it).
-    @raise Invalid_argument for an OpenFlow plane on more than one
-    shard. *)
+
+    [controllers] (default 1) is the size of the lazy plane's controller
+    cluster.  At two or more, the members' coordination mesh has a
+    500 µs link latency and members run
+    {!Lazyctrl_cluster.Member.default_config}.
+    @raise Invalid_argument when [controllers < 1], for an OpenFlow plane
+    on more than one shard or with more than one controller, and for a
+    cluster on more than one shard. *)
 
 val engine : t -> Engine.t
 (** Logical shard 0's engine — the only one at one shard, which
@@ -87,7 +111,10 @@ val default_intensity : Topology.t -> Wgraph.t
 val bootstrap : t -> ?intensity:Wgraph.t -> unit -> unit
 (** Lazy mode: run the controller's initial grouping (IniGroup) from the
     given history statistics (default {!default_intensity}) and push the
-    group configurations. No-op in OpenFlow mode.  A sharded network
+    group configurations. No-op in OpenFlow mode.  A cluster assigns
+    group [g] to controller [g mod controllers], seeds the management
+    plane, and starts every member (each claims and configures its own
+    slice).  A sharded network
     instead pushes its frozen partition through
     [Controller.bootstrap_shard]; the grouping daemon stays inert, so the
     shard map never changes mid-run.
@@ -113,6 +140,8 @@ val shutdown : t -> unit
     required between repeated sharded runs in benches and tests. *)
 
 val lazy_controller : t -> Controller.t option
+(** The lazy plane's controller: controller 0 of a cluster. *)
+
 val of_controller : t -> Of_controller.t option
 val edge_switch : t -> Ids.Switch_id.t -> Edge_switch.t option
 val of_switch : t -> Ids.Switch_id.t -> Of_switch.t option
@@ -143,7 +172,11 @@ val repair_switch : t -> Ids.Switch_id.t -> unit
     the outage was shorter than failure detection. *)
 
 val fail_control_link : t -> Ids.Switch_id.t -> unit
+(** Sever the switch's spokes to every controller, both ways. *)
+
 val repair_control_link : t -> Ids.Switch_id.t -> unit
+(** Restore the spokes to every alive controller. *)
+
 val fail_peer_link : t -> Ids.Switch_id.t -> Ids.Switch_id.t -> unit
 val repair_peer_link : t -> Ids.Switch_id.t -> Ids.Switch_id.t -> unit
 
@@ -159,6 +192,42 @@ val fail_data_path :
 
 val repair_data_path : t -> src:Ids.Switch_id.t -> dst:Ids.Switch_id.t -> unit
 
+(** {1 Controller cluster} (lazy mode)
+
+    Controllers are indexed [0 .. controllers - 1].  The accessors raise
+    [Invalid_argument] in OpenFlow mode; the fault entry points need a
+    cluster and raise it at one controller too. *)
+
+val controllers : t -> int
+(** The controller count: 1 in OpenFlow mode. *)
+
+val controller : t -> int -> Controller.t
+val member : t -> int -> Lazyctrl_cluster.Member.t
+
+val alive_controllers : t -> int list
+(** Ascending indices of the controllers currently alive. *)
+
+val uplink_of : t -> Ids.Switch_id.t -> int
+(** The controller currently mastering the switch (management-plane
+    truth). *)
+
+val term_of : t -> Ids.Switch_id.t -> int
+
+val kill_controller : t -> int -> unit
+(** Kill a cluster member: its spokes and coordination links go down,
+    its timers stop, its groups are orphaned. Idempotent. *)
+
+val revive_controller : t -> int -> unit
+(** Bring a killed member back: links repaired, member restarted owning
+    nothing (EASM refills it). Also clears any partition. Idempotent. *)
+
+val partition_controller : t -> int -> unit
+(** Cut the member off the coordination mesh only — its switch spokes
+    stay up, so both sides of the split keep running until terms
+    reconcile at heal time. Idempotent. *)
+
+val heal_controller : t -> int -> unit
+
 (** {1 Channel loss injection} (lazy mode)
 
     Seeded Gilbert–Elliott loss on the control and peer channels. The
@@ -167,7 +236,9 @@ val repair_data_path : t -> src:Ids.Switch_id.t -> dst:Ids.Switch_id.t -> unit
 
 val set_control_loss : t -> Lazyctrl_openflow.Channel.loss_spec option -> unit
 (** Apply (or with [None], clear) a loss model on every switch ↔
-    controller channel, both directions. *)
+    controller channel, both directions.  The coordination mesh is
+    deliberately loss-free (inter-controller links are reliable
+    transports in deployment); it only goes down under faults. *)
 
 val set_peer_loss : t -> Lazyctrl_openflow.Channel.loss_spec option -> unit
 (** Same for every switch ↔ switch peer channel, including channels
@@ -191,14 +262,21 @@ val link_stats : t -> link_totals
 
 val ctrl_bytes_sent : t -> int
 (** Encoded bytes offered on the controller-facing channels only (both
-    directions, either plane) — the control-channel load behind the
-    bytes/sec series.  Equals the recorders' summed [total_ctrl_bytes]
+    directions, either plane, every controller) — the control-channel
+    load behind the bytes/sec series.  The coordination mesh is
+    value-passing and uncounted: management-plane traffic between
+    controller processes, not switch-facing control load (DESIGN.md
+    §13).  Equals the recorders' summed [total_ctrl_bytes]
     and the tracers' summed [ctrl_bytes] exactly, by construction: each
     send charges its own shard's recorder and tracer. *)
 
 val reliability_stats : t -> Lazyctrl_openflow.Reliable.stats
-(** Aggregate over every reliable session in the network — controller-side
-    and switch-side. [violations = 0] is the exactly-once invariant. *)
+(** Aggregate over every reliable session in the network — controller-side,
+    switch-side and the inter-member coordination sessions.
+    [violations = 0] is the exactly-once invariant. *)
+
+val member_stats_sum : t -> Lazyctrl_cluster.Member.stats
+(** Aggregate over the cluster members (zeros at one controller). *)
 
 (** {1 Shards} *)
 
@@ -230,37 +308,7 @@ val stats : t -> stats
 
 val fingerprint : t -> string
 (** Byte-exact observable state in logical-shard order: per-shard
-    recorder series and control bytes, summed switch stats, controller
-    stats, the frozen grouping with its shard map, channel totals, flow
-    accounting and exchange totals.  Equal across double runs {e and}
-    across domain counts. *)
-
-(** {1 Channel wiring shared with the cluster plane} *)
-
-val set_proto_codec : Edge_switch.msg Lazyctrl_openflow.Channel.t -> unit
-(** Plug the DESIGN.md §13 wire codec (with [Proto]'s extension) into a
-    switch-facing channel, so it carries and counts real frames. *)
-
-val apply_loss :
-  Lazyctrl_util.Prng.t ->
-  Lazyctrl_openflow.Channel.loss_spec option ->
-  'a Lazyctrl_openflow.Channel.t ->
-  unit
-(** Attach (or with [None], clear) a loss model drawing from the
-    sub-stream of the given parent keyed by the channel's name. *)
-
-val peer_channel :
-  link:(int -> int -> Engine.t * Engine.post) ->
-  Params.t ->
-  loss_rng:Lazyctrl_util.Prng.t ->
-  peer_loss:Lazyctrl_openflow.Channel.loss_spec option ref ->
-  switch:(int -> Edge_switch.t) ->
-  (int * int, Edge_switch.msg Lazyctrl_openflow.Channel.t) Hashtbl.t ->
-  int * int ->
-  Edge_switch.msg Lazyctrl_openflow.Channel.t
-(** [peer_channel ~link params ~loss_rng ~peer_loss ~switch peers (src, dst)]
-    is the directed peer link [src -> dst] from [peers], created and
-    registered on first use: named ["peer-SRC-DST"], §13 codec, the
-    current [!peer_loss], delivering to [switch dst].  [link src dst]
-    gives the sender's engine and the post towards [dst]; it is called
-    only when the link is created. *)
+    recorder series and control bytes, summed switch stats, each
+    controller's stats, the frozen grouping with its shard map, channel
+    totals, flow accounting and exchange totals.  Equal across double
+    runs {e and} across domain counts. *)

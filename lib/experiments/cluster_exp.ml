@@ -1,18 +1,17 @@
 open Lazyctrl_sim
 open Lazyctrl_chaos
-open Lazyctrl_cluster
 module Table = Lazyctrl_util.Table
 module Reliable = Lazyctrl_openflow.Reliable
+module Member = Lazyctrl_cluster.Member
 
 let cfg_for ?(seed = 42) kind =
-  let base = Chaos_runner.default_config in
+  let base = Runner.cluster_config in
   {
     base with
-    Chaos_runner.seed;
+    Runner.seed;
     loss = 0.0;
     dup = 0.0;
-    spec =
-      { base.Chaos_runner.spec with Scenario.kinds = [ kind ]; n_faults = 1 };
+    spec = { base.Runner.spec with Scenario.kinds = [ kind ]; n_faults = 1 };
   }
 
 let table ?seed () =
@@ -31,20 +30,20 @@ let table ?seed () =
   in
   List.iter
     (fun kind ->
-      let r = Chaos_runner.run (cfg_for ?seed kind) in
-      let m = r.Chaos_runner.member_stats in
+      let r = Runner.run (cfg_for ?seed kind) in
+      let m = r.Runner.member_stats in
       Table.add_row tbl
         [
           Fault.kind_label kind;
-          Table.cell_int r.Chaos_runner.flows_started;
-          Table.cell_int r.Chaos_runner.flows_delivered;
+          Table.cell_int r.Runner.flows_started;
+          Table.cell_int r.Runner.flows_delivered;
           Table.cell_int m.Member.adoptions;
           Table.cell_int m.Member.handoffs_offered;
-          Table.cell_float ~decimals:4 r.Chaos_runner.involvement;
-          (match r.Chaos_runner.converged_after with
+          Table.cell_float ~decimals:4 r.Runner.involvement;
+          (match r.Runner.converged_after with
           | Some t -> Table.cell_float ~decimals:1 (Time.to_float_sec t)
           | None -> "did not converge");
-          Table.cell_int r.Chaos_runner.reliability.Reliable.violations;
+          Table.cell_int r.Runner.reliability.Reliable.violations;
         ])
     Fault.cluster_kinds;
   tbl

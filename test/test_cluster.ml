@@ -1,12 +1,14 @@
 (* Controller-cluster acceptance: killing 1 of 3 members mid-run loses no
    packets, orphaned groups re-home within the failover window, laziness
    survives the fault, and the whole run is seeded-deterministic. Plus
-   direct Plane tests for EASM failback and partition reconciliation. *)
+   direct tests of a 3-controller Network for EASM failback, partition
+   reconciliation and the combinations it rejects. *)
 
 open Lazyctrl_net
 open Lazyctrl_sim
 open Lazyctrl_topo
 open Lazyctrl_controller
+open Lazyctrl_core
 open Lazyctrl_chaos
 open Lazyctrl_cluster
 module Prng = Lazyctrl_util.Prng
@@ -16,14 +18,14 @@ let check = Alcotest.check
 
 (* Lossless single-kill scenario: the acceptance configuration. *)
 let kill_cfg =
-  let base = Chaos_runner.default_config in
+  let base = Runner.cluster_config in
   {
     base with
-    Chaos_runner.loss = 0.0;
+    Runner.loss = 0.0;
     dup = 0.0;
     spec =
       {
-        base.Chaos_runner.spec with
+        base.Runner.spec with
         Scenario.kinds = [ Fault.Controller_kill ];
         n_faults = 1;
       };
@@ -32,28 +34,28 @@ let kill_cfg =
 let no_fault_cfg =
   {
     kill_cfg with
-    Chaos_runner.spec = { kill_cfg.Chaos_runner.spec with Scenario.n_faults = 0 };
+    Runner.spec = { kill_cfg.Runner.spec with Scenario.n_faults = 0 };
   }
 
 let test_kill_one_of_three () =
-  let r = Chaos_runner.run kill_cfg in
-  check Alcotest.int "exactly one fault" 1 (List.length r.Chaos_runner.events);
+  let r = Runner.run kill_cfg in
+  check Alcotest.int "exactly one fault" 1 (List.length r.Runner.events);
   List.iter
     (fun (e : Fault.event) ->
       check Alcotest.bool "it is a controller kill" true
         (e.kind = Fault.Controller_kill))
-    r.Chaos_runner.events;
+    r.Runner.events;
   (* Zero-loss: every flow started under the fault window resolved and
      delivered its first packet; ARP retries outlive the failover window,
      and buffered misses drain to the adopting member. *)
   check Alcotest.int "every flow delivered"
-    r.Chaos_runner.flows_started r.Chaos_runner.flows_delivered;
-  check Alcotest.int "no resolution gave up" 0 r.Chaos_runner.resolutions_failed;
+    r.Runner.flows_started r.Runner.flows_delivered;
+  check Alcotest.int "no resolution gave up" 0 r.Runner.resolutions_failed;
   check Alcotest.bool "traffic actually flowed" true
-    (r.Chaos_runner.flows_started > 0);
+    (r.Runner.flows_started > 0);
   (* Exactly-once across every session in the cluster. *)
   check Alcotest.int "no duplicate delivery" 0
-    r.Chaos_runner.reliability.Reliable.violations;
+    r.Runner.reliability.Reliable.violations;
   (* The orphaned groups re-homed: all invariants, including [homed] and
      [disjoint-ownership], converged within the settle budget. *)
   List.iter
@@ -61,13 +63,13 @@ let test_kill_one_of_three () =
       check Alcotest.bool
         (Printf.sprintf "invariant '%s' holds" rep.Invariant.name)
         true rep.Invariant.ok)
-    r.Chaos_runner.reports;
+    r.Runner.reports;
   check Alcotest.bool "converged before the deadline" true
-    (r.Chaos_runner.converged_after <> None);
+    (r.Runner.converged_after <> None);
   (* The failover machinery did fire: the survivors noticed the death,
      probed the orphans over their second spokes, inferred
      Controller_failure, and adopted. *)
-  let m = r.Chaos_runner.member_stats in
+  let m = r.Runner.member_stats in
   check Alcotest.bool "death detected" true (m.Member.peer_deaths > 0);
   check Alcotest.bool "revival detected" true (m.Member.peer_revivals > 0);
   check Alcotest.bool "second-spoke evidence inferred controller death" true
@@ -75,28 +77,28 @@ let test_kill_one_of_three () =
   check Alcotest.bool "orphans adopted" true (m.Member.adoptions > 0)
 
 let test_involvement_stays_lazy () =
-  let faulted = Chaos_runner.run kill_cfg in
-  let calm = Chaos_runner.run no_fault_cfg in
-  check Alcotest.bool "calm run is lazy" true (calm.Chaos_runner.involvement < 0.5);
+  let faulted = Runner.run kill_cfg in
+  let calm = Runner.run no_fault_cfg in
+  check Alcotest.bool "calm run is lazy" true (calm.Runner.involvement < 0.5);
   (* A single member kill must not meaningfully push traffic onto the
      controllers: the involvement ratio stays within 10 points of the
      no-fault run. *)
   check Alcotest.bool "involvement within 10% of the no-fault run" true
-    (Float.abs (faulted.Chaos_runner.involvement -. calm.Chaos_runner.involvement)
+    (Float.abs (faulted.Runner.involvement -. calm.Runner.involvement)
     <= 0.10)
 
 let test_double_run_byte_identical () =
-  let r1 = Chaos_runner.run kill_cfg in
-  let r2 = Chaos_runner.run kill_cfg in
+  let r1 = Runner.run kill_cfg in
+  let r2 = Runner.run kill_cfg in
   check Alcotest.string "byte-identical fingerprints"
-    r1.Chaos_runner.fingerprint r2.Chaos_runner.fingerprint;
+    r1.Runner.fingerprint r2.Runner.fingerprint;
   check Alcotest.bool "fingerprint non-trivial" true
-    (String.length r1.Chaos_runner.fingerprint > 200);
-  let r3 = Chaos_runner.run { kill_cfg with Chaos_runner.seed = 43 } in
+    (String.length r1.Runner.fingerprint > 200);
+  let r3 = Runner.run { kill_cfg with Runner.seed = 43 } in
   check Alcotest.bool "different seed, different fingerprint" false
-    (String.equal r1.Chaos_runner.fingerprint r3.Chaos_runner.fingerprint)
+    (String.equal r1.Runner.fingerprint r3.Runner.fingerprint)
 
-(* --- direct Plane tests ---------------------------------------------------- *)
+(* --- direct 3-controller Network tests ------------------------------------ *)
 
 let quick_controller_config =
   {
@@ -111,30 +113,31 @@ let quick_controller_config =
     reliable_state = true;
   }
 
+let make_topo seed =
+  Placement.generate ~rng:(Prng.create seed)
+    {
+      Placement.n_switches = 16;
+      n_tenants = 6;
+      tenant_size_min = 8;
+      tenant_size_max = 16;
+      racks_per_tenant = 3;
+      stray_fraction = 0.05;
+    }
+
 let make_plane ~seed =
-  let topo =
-    Placement.generate ~rng:(Prng.create seed)
-      {
-        Placement.n_switches = 16;
-        n_tenants = 6;
-        tenant_size_min = 8;
-        tenant_size_max = 16;
-        racks_per_tenant = 3;
-        stray_fraction = 0.05;
-      }
-  in
   let plane =
-    Plane.create
-      ~params:(Lazyctrl_core.Params.with_seed seed Lazyctrl_core.Params.default)
-      ~controller_config:quick_controller_config ~n_members:3 ~topo ()
+    Network.create
+      ~params:(Params.with_seed seed Params.default)
+      ~controller_config:quick_controller_config ~controllers:3
+      ~mode:Network.Lazy ~topo:(make_topo seed) ~horizon:(Time.of_min 10) ()
   in
-  Plane.bootstrap plane;
+  Network.bootstrap plane ();
   plane
 
 let owned_counts plane =
-  List.map (fun k -> List.length (Member.owned (Plane.member plane k))) [ 0; 1; 2 ]
+  List.map (fun k -> List.length (Member.owned (Network.member plane k))) [ 0; 1; 2 ]
 
-let run_to plane t = Plane.run plane ~until:t
+let run_to plane t = Network.run plane ~until:t
 
 (* Kill a member, let the survivors adopt, revive it, and check EASM hands
    groups back: after the failback no alive member is starved while
@@ -145,21 +148,21 @@ let test_easm_failback () =
   let before = owned_counts plane in
   check Alcotest.bool "bootstrap spreads groups over all members" true
     (List.for_all (fun c -> c > 0) before);
-  Plane.kill_member plane 1;
+  Network.kill_controller plane 1;
   run_to plane (Time.of_sec 60);
   check Alcotest.bool "dead member reports stopped" false
-    (Member.is_running (Plane.member plane 1));
+    (Member.is_running (Network.member plane 1));
   check Alcotest.int "dead member owns nothing" 0
-    (List.length (Member.owned (Plane.member plane 1)));
+    (List.length (Member.owned (Network.member plane 1)));
   let survivors =
-    List.length (Member.owned (Plane.member plane 0))
-    + List.length (Member.owned (Plane.member plane 2))
+    List.length (Member.owned (Network.member plane 0))
+    + List.length (Member.owned (Network.member plane 2))
   in
   check Alcotest.int "survivors own everything"
     (List.fold_left ( + ) 0 before) survivors;
-  Plane.revive_member plane 1;
+  Network.revive_controller plane 1;
   check Alcotest.bool "revived member reports running" true
-    (Member.is_running (Plane.member plane 1));
+    (Member.is_running (Network.member plane 1));
   run_to plane (Time.of_min 4);
   let after = owned_counts plane in
   check Alcotest.int "nothing lost in the shuffle"
@@ -169,7 +172,7 @@ let test_easm_failback () =
   check Alcotest.bool "EASM rebalanced within the migration gap" true
     (mx - mn <= 2);
   check Alcotest.bool "handoffs were offered" true
-    ((Plane.member_stats_sum plane).Member.handoffs_offered > 0)
+    ((Network.member_stats_sum plane).Member.handoffs_offered > 0)
 
 (* Partition one member off the mesh: its switches keep running on their
    old master, the others adopt what they can see as orphaned; at heal
@@ -177,29 +180,29 @@ let test_easm_failback () =
 let test_partition_heals () =
   let plane = make_plane ~seed:6 in
   run_to plane (Time.of_sec 20);
-  Plane.partition_member plane 2;
+  Network.partition_controller plane 2;
   run_to plane (Time.of_sec 50);
-  Plane.heal_member plane 2;
+  Network.heal_controller plane 2;
   run_to plane (Time.of_min 3);
   (* Every switch homed on an alive member holding a config for it, at
      the management plane's term. *)
   check Alcotest.int "no switch lost to the partition"
-    (Topology.n_switches (Plane.topology plane))
-    (List.length (Plane.live_switches plane));
+    (Topology.n_switches (Network.topology plane))
+    (List.length (Invariant.live_switches plane));
   List.iter
     (fun (sid, es) ->
       check Alcotest.bool "edge_switch accessor agrees" true
-        (Plane.edge_switch plane sid == es);
-      let k = Plane.uplink_of plane sid in
+        (Option.get (Network.edge_switch plane sid) == es);
+      let k = Network.uplink_of plane sid in
       check Alcotest.bool "master alive" true
-        (List.mem k (Plane.alive_members plane));
+        (List.mem k (Network.alive_controllers plane));
       check Alcotest.bool "master has the group config" true
         (Option.is_some
-           (Controller.group_config_of (Plane.controller plane k) sid));
+           (Controller.group_config_of (Network.controller plane k) sid));
       check Alcotest.int "switch term agrees with the management plane"
-        (Plane.term_of plane sid)
+        (Network.term_of plane sid)
         (Lazyctrl_switch.Edge_switch.master_term es))
-    (Plane.live_switches plane);
+    (Invariant.live_switches plane);
   (* No group claimed by two alive members after the heal. *)
   let owners = Hashtbl.create 16 in
   List.iter
@@ -210,8 +213,8 @@ let test_partition_heals () =
           check Alcotest.bool "single owner per group" false
             (Hashtbl.mem owners gi);
           Hashtbl.replace owners gi k)
-        (Member.owned (Plane.member plane k)))
-    (Plane.alive_members plane);
+        (Member.owned (Network.member plane k)))
+    (Network.alive_controllers plane);
   (* And every alive member's ownership view converged to those owners. *)
   List.iter
     (fun k ->
@@ -221,10 +224,25 @@ let test_partition_heals () =
           | Some owner ->
               check Alcotest.int "views agree on the owner" owner v.Coord.v_owner
           | None -> Alcotest.fail "view names an unowned group")
-        (Member.view (Plane.member plane k)))
-    (Plane.alive_members plane);
+        (Member.view (Network.member plane k)))
+    (Network.alive_controllers plane);
   check Alcotest.int "no duplicate delivery cluster-wide" 0
-    (Plane.reliability_stats plane).Reliable.violations
+    (Network.reliability_stats plane).Reliable.violations
+
+(* A cluster is lazy-mode and single-shard; a network has at least one
+   controller. *)
+let test_invalid_combinations () =
+  let topo = make_topo 5 in
+  let rejects what f =
+    check Alcotest.bool what true
+      (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  let create ?shards ~controllers mode () =
+    Network.create ?shards ~controllers ~mode ~topo ~horizon:(Time.of_min 1) ()
+  in
+  rejects "no controller" (create ~controllers:0 Network.Lazy);
+  rejects "cluster on 4 shards" (create ~shards:4 ~controllers:3 Network.Lazy);
+  rejects "OpenFlow cluster" (create ~controllers:3 Network.Openflow)
 
 (* The coordination grammar's accounting hooks: sizes are positive, the
    reliable envelope prices above its payload, and messages print. *)
@@ -267,6 +285,8 @@ let () =
             test_easm_failback;
           Alcotest.test_case "partition heals to one owner" `Slow
             test_partition_heals;
+          Alcotest.test_case "invalid combinations rejected" `Quick
+            test_invalid_combinations;
         ] );
       ( "coord",
         [ Alcotest.test_case "wire format accounting" `Quick test_coord_wire_format ] );

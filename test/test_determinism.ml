@@ -152,8 +152,8 @@ let test_chaos_double_run () =
    partitions, mastership-term arbitration, coordination sessions and
    orphan adoption all replay byte-identically from the seed. *)
 let test_cluster_chaos_double_run () =
-  let module CR = Lazyctrl_cluster.Chaos_runner in
-  let cfg = { CR.default_config with CR.seed = 7 } in
+  let module CR = Lazyctrl_chaos.Runner in
+  let cfg = { CR.cluster_config with CR.seed = 7 } in
   let r1 = CR.run cfg in
   let r2 = CR.run cfg in
   Alcotest.(check string)

@@ -25,7 +25,6 @@ module Proto = Lazyctrl_switch.Proto
 module Prng = Lazyctrl_util.Prng
 module Tracer = Lazyctrl_trace.Tracer
 module Recorder = Lazyctrl_metrics.Recorder
-module Plane = Lazyctrl_cluster.Plane
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -653,12 +652,13 @@ let test_buffered_punt_e2e () =
     (Network.ctrl_bytes_sent net > 0)
 
 (* Flows start between runs, as a sharded network requires. *)
-let run_lazy ?tracer ?shards seed =
+let run_lazy ?tracer ?shards ?controllers seed =
   let topo = build_topo seed in
   let net =
     Network.create
       ~params:(Params.with_seed seed Params.default)
-      ?tracer ?shards ~mode:Network.Lazy ~topo ~horizon:(Time.of_min 10) ()
+      ?tracer ?shards ?controllers ~mode:Network.Lazy ~topo
+      ~horizon:(Time.of_min 10) ()
   in
   Network.bootstrap net ();
   let rng = Prng.create (seed * 37) in
@@ -674,16 +674,18 @@ let run_lazy ?tracer ?shards seed =
   Network.shutdown net;
   net
 
-(* On one shard and on four: every send charges its own shard's
-   recorder and tracer, so the per-shard totals sum to the channel
-   counters. *)
+(* On one shard, on four, and with three controllers: every send charges
+   its own shard's recorder and tracer, so the per-shard totals sum to
+   the channel counters of every controller's spokes. *)
 let test_byte_crosscheck () =
   List.iter
-    (fun shards ->
-      let net = run_lazy ~tracer:(Tracer.create ()) ~shards 23 in
+    (fun (shards, controllers) ->
+      let net = run_lazy ~tracer:(Tracer.create ()) ~shards ~controllers 23 in
       let sum f arr = Array.fold_left (fun acc x -> acc + f x) 0 arr in
       let sent = Network.ctrl_bytes_sent net in
-      let msg what = Printf.sprintf "%s (%d shards)" what shards in
+      let msg what =
+        Printf.sprintf "%s (%d shards, %d controllers)" what shards controllers
+      in
       Alcotest.(check bool) (msg "control channels carried bytes") true (sent > 0);
       Alcotest.(check int) (msg "recorder totals equal the channel counters") sent
         (sum Recorder.total_ctrl_bytes (Network.recorders net));
@@ -700,7 +702,7 @@ let test_byte_crosscheck () =
       in
       Alcotest.(check bool) (msg "the bytes/sec series carries the total") true
         (Array.fold_left ( +. ) 0.0 per_sec > 0.0))
-    [ 1; 4 ]
+    [ (1, 1); (4, 1); (1, 3) ]
 
 let test_byte_determinism () =
   let a = Network.ctrl_bytes_sent (run_lazy 29) in
@@ -708,13 +710,20 @@ let test_byte_determinism () =
   Alcotest.(check bool) "same-seed runs moved bytes" true (a > 0);
   Alcotest.(check int) "same-seed runs move identical byte totals" a b
 
+(* The cluster plane (two controllers splitting the groups) charges
+   every controller's spokes to the same channel counters. *)
 let test_cluster_bytes () =
   let topo = build_topo 5 in
-  let plane = Plane.create ~n_members:2 ~topo () in
-  Plane.bootstrap plane;
-  Plane.run plane ~until:(Time.of_sec 60);
+  let net =
+    Network.create ~controllers:2 ~mode:Network.Lazy ~topo
+      ~horizon:(Time.of_min 10) ()
+  in
+  Network.bootstrap net ();
+  Network.run net ~until:(Time.of_sec 60);
+  Alcotest.(check int) "the plane has two controllers" 2
+    (Network.controllers net);
   Alcotest.(check bool) "cluster control channels carried bytes" true
-    (Plane.ctrl_bytes_sent plane > 0)
+    (Network.ctrl_bytes_sent net > 0)
 
 let () =
   Alcotest.run "wire"
