@@ -1,4 +1,4 @@
-.PHONY: all build test lint lint-check lint-json lint-sarif lint-ownership lint-hotpath bench bench-json bench-check shard-check chaos chaos-cluster clean
+.PHONY: all build test lint lint-check lint-json lint-sarif lint-ownership lint-hotpath bench bench-json bench-check shard-check chaos chaos-cluster reproduce clean
 
 all: build
 
@@ -83,12 +83,19 @@ shard-check:
 # Seeded chaos scenario + the loss-rate sweep (robustness regression).
 chaos:
 	dune exec bin/lazyctrl_cli.exe -- chaos
-	dune exec bench/main.exe -- --quick chaos
+	dune exec bin/lazyctrl_cli.exe -- experiment --quick chaos
 
 # Controller-cluster chaos: kill/partition cluster members mid-run and
 # check re-homing, disjoint ownership and cluster-wide exactly-once.
 chaos-cluster:
 	dune exec bin/lazyctrl_cli.exe -- chaos --controllers 3
+
+# Every paper table and figure at full scale (EXPERIMENTS.md quotes these
+# numbers), written to bench_output.txt.  About 5.5 minutes on a 2-core VM.
+reproduce:
+	dune build bin/lazyctrl_cli.exe
+	./_build/default/bin/lazyctrl_cli.exe experiment > bench_output.txt
+	@echo "wrote bench_output.txt"
 
 clean:
 	dune clean

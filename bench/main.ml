@@ -1,232 +1,19 @@
-(* Experiment harness: regenerates every table and figure of the paper
-   (see DESIGN.md §4 for the index), plus Bechamel micro-benchmarks of the
-   hot primitives.
+(* Measurement harness: fixed-work perf targets of the simulator's hot
+   primitives and end-to-end scenarios (lib/perf), the H00x hot-path
+   probes, and the baseline comparison behind `make bench-check`.  The
+   paper's tables and figures are `lazyctrl experiment` (bin/).
 
-   Usage:  dune exec bench/main.exe              (run everything)
-           dune exec bench/main.exe -- fig7      (one target)
-           dune exec bench/main.exe -- --list    (list targets)
+   Usage:  dune exec bench/main.exe                      (run everything)
+           dune exec bench/main.exe -- --quick perf --json FILE
+           dune exec bench/main.exe -- compare BASE.json CUR.json
+           dune exec bench/main.exe -- --list            (list targets) *)
 
-   Scale: packet-level experiments run on the quarter-scale topology with
-   sampled-down flow counts (documented in EXPERIMENTS.md); grouping
-   experiments run at paper scale. *)
-
-module E = Lazyctrl_experiments
-module Table = Lazyctrl_util.Table
 module Perf = Lazyctrl_perf
 
 let section title =
   Printf.printf "\n=== %s ===\n%!" title
 
 let quick = ref false
-
-let t_table2 () =
-  section "Table II — traffic trace characteristics";
-  let n_real = if !quick then 60_000 else 271_000 in
-  let n_syn = if !quick then 100_000 else 400_000 in
-  Table.print (E.Grouping_exp.table2 ~n_flows_real:n_real ~n_flows_syn:n_syn ());
-  print_endline
-    "(paper: Real 271M flows 0.85 | Syn-A 2720M 0.85 | Syn-B 3806M 0.72 | Syn-C 5071M 0.61;\n\
-    \ flow counts here are sampled down, centrality/skew are scale-free)"
-
-let t_fig6a () =
-  section "Fig. 6(a) — normalized inter-group traffic intensity vs #groups";
-  let n_syn = if !quick then 100_000 else 400_000 in
-  Table.print (E.Grouping_exp.fig6a ~n_flows_syn:n_syn ());
-  print_endline
-    "(paper: rises ~linearly with #groups; Syn-A lowest, Syn-C highest, ~5%-50% band)"
-
-let t_fig6b () =
-  section "Fig. 6(b) — grouping computation time vs group size limit";
-  let n_syn = if !quick then 100_000 else 400_000 in
-  Table.print (E.Grouping_exp.fig6b ~n_flows_syn:n_syn ());
-  print_endline
-    "(paper: < 5 s, decreasing with larger size limit; IncUpdate >= 10x faster than IniGroup)"
-
-let daylong_flows () = if !quick then 30_000 else 120_000
-
-let t_fig7 () =
-  section "Fig. 7 — controller workload (requests/s per 2-hour bucket)";
-  Table.print (E.Daylong.fig7_table ~n_flows:(daylong_flows ()) ());
-  Printf.printf
-    "Overall workload reduction, LazyCtrl (real, dynamic) vs OpenFlow: %.1f%%\n"
-    (100.0 *. E.Daylong.workload_reduction ~n_flows:(daylong_flows ()) ());
-  print_endline "(paper: 61%-82% reduction; LazyCtrl stable across the day on the real trace)"
-
-let t_fig7_bytes () =
-  section "Fig. 7 in real units — control-channel load (bytes/s per 2-hour bucket)";
-  Table.print (E.Daylong.fig7_bytes_table ~n_flows:(daylong_flows ()) ());
-  Printf.printf
-    "Overall control-byte reduction, LazyCtrl (real, dynamic) vs OpenFlow: %.1f%%\n"
-    (100.0 *. E.Daylong.ctrl_bytes_reduction ~n_flows:(daylong_flows ()) ());
-  print_endline
-    "(encoded DESIGN.md-13 frames on controller-facing channels; the paper reports requests/s only)"
-
-let t_fig8 () =
-  section "Fig. 8 — switch grouping updates per hour";
-  Table.print (E.Daylong.fig8_table ~n_flows:(daylong_flows ()) ());
-  print_endline "(paper: ~10/hour on the real trace; up to 34/hour on the expanded trace)"
-
-let t_fig9 () =
-  section "Fig. 9 — steady-state average forwarding latency (ms per 2-hour bucket)";
-  Table.print (E.Daylong.fig9_table ~n_flows:(daylong_flows ()) ());
-  print_endline "(paper: LazyCtrl ~10% below OpenFlow, both in the 0.4-0.7 ms band)"
-
-let t_table1 () =
-  section "Table I — failure inference (pure lookup)";
-  Table.print (E.Failover_exp.inference_table ());
-  section "Table I — failure inference (end-to-end injection)";
-  Table.print (E.Failover_exp.endtoend_table ())
-
-let t_chaos () =
-  section "Chaos sweep — loss rate x state-delivery mode (robustness)";
-  Table.print
-    (E.Chaos_exp.table ?losses:(if !quick then Some [ 0.0; 0.05 ] else None) ());
-  print_endline
-    "(reliable rows must converge with all invariants green; fire-and-forget\n\
-    \ rows show the stale-state window the reliable layer removes)"
-
-let t_coldcache () =
-  section "Cold-cache first-packet latency (§V-E)";
-  Table.print (E.Coldcache.table ())
-
-let t_storage () =
-  section "G-FIB storage overhead and false-positive rate (§V-D)";
-  Table.print (E.Storage_exp.table ())
-
-let t_ablate_size () =
-  section "Ablation A2 — group size limit sweep";
-  Table.print (E.Ablation.group_size_table ~n_flows:(if !quick then 15_000 else 40_000) ());
-  section "Ablation A2 — Rubinstein group-size negotiation (Appendix C)";
-  Table.print (E.Ablation.negotiation_table ())
-
-let t_ablate_bloom () =
-  section "Ablation A3 — Bloom filter sizing sweep";
-  Table.print (E.Ablation.bloom_table ~n_flows:(if !quick then 15_000 else 40_000) ())
-
-let t_ablate_appendix () =
-  section "Ablation A4 — Appendix B: seamless-update preloading";
-  Table.print (E.Ablation.preload_table ~n_flows:(if !quick then 15_000 else 40_000) ());
-  section "Ablation A5 — Appendix B: host exclusion from grouping";
-  Table.print
-    (E.Ablation.exclusion_table ~n_flows:(if !quick then 60_000 else 150_000) ());
-  section "Ablation A6 — Appendix B: batched/parallel IncUpdate";
-  Table.print (E.Ablation.batch_table ~n_flows:(if !quick then 80_000 else 200_000) ())
-
-(* --- micro-benchmarks ------------------------------------------------------ *)
-
-let t_micro () =
-  section "Micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let rng = Lazyctrl_util.Prng.create 7 in
-  let bloom = Lazyctrl_bloom.Bloom.create ~bits:65536 () in
-  for i = 0 to 4095 do
-    Lazyctrl_bloom.Bloom.add bloom i
-  done;
-  let test_bloom_mem =
-    Test.make ~name:"bloom.mem"
-      (Staged.stage (fun () ->
-           ignore (Lazyctrl_bloom.Bloom.mem bloom (Lazyctrl_util.Prng.int rng 100000))))
-  in
-  let lfib = Lazyctrl_switch.Lfib.create () in
-  for i = 0 to 63 do
-    ignore
-      (Lazyctrl_switch.Lfib.learn lfib
-         (Lazyctrl_net.Host.make
-            ~id:(Lazyctrl_net.Ids.Host_id.of_int i)
-            ~tenant:(Lazyctrl_net.Ids.Tenant_id.of_int 0)))
-  done;
-  let test_lfib =
-    Test.make ~name:"lfib.lookup_mac"
-      (Staged.stage (fun () ->
-           ignore
-             (Lazyctrl_switch.Lfib.lookup_mac lfib
-                (Lazyctrl_net.Mac.of_host_id (Lazyctrl_util.Prng.int rng 128)))))
-  in
-  let graph =
-    (* A 512-vertex random community graph for the partitioner. *)
-    let b = Lazyctrl_graph.Wgraph.Builder.create ~n:512 in
-    for _ = 1 to 4096 do
-      let u = Lazyctrl_util.Prng.int rng 512 in
-      let v = (u + 1 + Lazyctrl_util.Prng.int rng 31) mod 512 in
-      Lazyctrl_graph.Wgraph.Builder.add_edge b u v
-        (Lazyctrl_util.Prng.float rng 10.0)
-    done;
-    Lazyctrl_graph.Wgraph.Builder.build b
-  in
-  let test_partition =
-    Test.make ~name:"partition.multilevel_kway(512v,k=8)"
-      (Staged.stage (fun () ->
-           ignore
-             (Lazyctrl_graph.Partition.multilevel_kway
-                ~rng:(Lazyctrl_util.Prng.create 11) ~k:8 graph)))
-  in
-  let table = Lazyctrl_openflow.Flow_table.create () in
-  let host i =
-    Lazyctrl_net.Host.make
-      ~id:(Lazyctrl_net.Ids.Host_id.of_int i)
-      ~tenant:(Lazyctrl_net.Ids.Tenant_id.of_int 0)
-  in
-  let now = Lazyctrl_sim.Time.zero in
-  for i = 0 to 255 do
-    Lazyctrl_openflow.Flow_table.install table ~now
-      {
-        Lazyctrl_openflow.Flow_table.priority = 10;
-        ofmatch =
-          Lazyctrl_openflow.Ofmatch.exact_pair
-            ~src:(host i).Lazyctrl_net.Host.mac
-            ~dst:(host (i + 1)).Lazyctrl_net.Host.mac;
-        actions = [ Lazyctrl_openflow.Action.Drop ];
-        idle_timeout = None;
-        hard_timeout = None;
-        cookie = 0;
-      }
-  done;
-  let probe =
-    Lazyctrl_net.Packet.eth_of
-      (Lazyctrl_net.Packet.data ~src:(host 10) ~dst:(host 11) ~length:100 ())
-  in
-  let test_flow_table =
-    Test.make ~name:"flow_table.lookup(256 rules)"
-      (Staged.stage (fun () ->
-           ignore (Lazyctrl_openflow.Flow_table.lookup table ~now probe)))
-  in
-  let tests =
-    Test.make_grouped ~name:"lazyctrl"
-      [ test_bloom_mem; test_lfib; test_partition; test_flow_table ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-    in
-    let raw_results = Benchmark.all cfg instances tests in
-    let results =
-      List.map (fun instance -> Analyze.all ols instance raw_results) instances
-    in
-    let results = Analyze.merge ols instances results in
-    results
-  in
-  let results = benchmark () in
-  (* Collect and sort by benchmark name so the report order is stable. *)
-  let rows =
-    Lazyctrl_util.Det.fold_sorted ~cmp:String.compare
-      (fun _ tbl acc ->
-        Lazyctrl_util.Det.fold_sorted ~cmp:String.compare
-          (fun name result acc -> (name, result) :: acc)
-          tbl acc)
-      results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter
-    (fun (name, result) ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "%-44s %12.1f ns/run\n" name est
-      | _ -> Printf.printf "%-44s (no estimate)\n" name)
-    rows
 
 (* --- perf regression targets ------------------------------------------------ *)
 
@@ -677,7 +464,7 @@ let perf_hp_engine_step () =
    by the sizing run and the measured reps ride the L-FIB/G-FIB fast
    path.  This probe deliberately carries the allowlisted H001 residue
    (packet values, flow-table hits) — its budget in HOTPATH_budget is
-   nonzero and documents that cost until the int-packed refactor. *)
+   nonzero and documents that cost. *)
 let perf_hp_edge_datapath () =
   let module Time = Lazyctrl_sim.Time in
   let module Network = Lazyctrl_core.Network in
@@ -960,21 +747,6 @@ let run_compare baseline_path current_path =
 
 let targets =
   [
-    ("table2", t_table2);
-    ("fig6a", t_fig6a);
-    ("fig6b", t_fig6b);
-    ("fig7", t_fig7);
-    ("fig7-bytes", t_fig7_bytes);
-    ("fig8", t_fig8);
-    ("fig9", t_fig9);
-    ("table1", t_table1);
-    ("chaos", t_chaos);
-    ("coldcache", t_coldcache);
-    ("storage", t_storage);
-    ("ablate-size", t_ablate_size);
-    ("ablate-bloom", t_ablate_bloom);
-    ("ablate-appendix", t_ablate_appendix);
-    ("micro", t_micro);
     ("perf", t_perf);
     ("wire-codec", t_wire_codec);
     ("hotpath", t_hotpath);
@@ -1023,7 +795,7 @@ let () =
           Printf.eprintf "usage: compare BASELINE.json CURRENT.json\n";
           exit 2)
   | [] ->
-      print_endline "LazyCtrl experiment suite (all targets; use --list to see them)";
+      print_endline "LazyCtrl measurement suite (all targets; use --list to see them)";
       List.iter (fun (_, f) -> f ()) targets
   | names ->
       List.iter

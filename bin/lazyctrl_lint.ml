@@ -153,9 +153,8 @@ let () =
         (fun f -> print_endline (Finding.to_string f))
         report.Driver.stale;
       List.iter
-        (fun (file, _) ->
-          Printf.printf
-            "%s: note: file did not parse; token-level rules applied\n" file)
+        (fun (file, msg) ->
+          Printf.printf "%s: error: file did not parse: %s\n" file msg)
         report.Driver.parse_failures;
       List.iter
         (fun (file, note) -> Printf.printf "%s: note: %s\n" file note)

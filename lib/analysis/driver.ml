@@ -1,7 +1,6 @@
 (* Lint driver: walks the source tree, parses every file ONCE into a
    shared cache, then feeds the same Parsetrees to all consumers — the
-   per-file rules (with a token-level fallback for unparsable files),
-   the whole-program protocol checks, and the call-graph passes (effect
+   per-file rules, the whole-program protocol checks, and the call-graph passes (effect
    inference, layering, interface hygiene) — and filters the result
    through the allowlist.
 
@@ -57,24 +56,21 @@ let rec files_under ~root ~suffix rel acc =
       acc names
   end
 
-(* Per-file rules: Parsetree pass, or the token fallback when the file
-   does not parse.  Returns the findings and the parse error, if any. *)
+(* Per-file rules on one source: the Parsetree pass, or the parse error
+   when the file does not parse. *)
 let lint_source ~file ~src =
-  match Parse_ml.parse ~file ~src with
-  | Ok structure -> (Ast_rules.scan ~file structure, None)
-  | Error msg -> (Token_rules.scan ~file ~src, Some msg)
+  Result.map (Ast_rules.scan ~file) (Parse_ml.parse ~file ~src)
 
 (* --- parse cache ----------------------------------------------------------- *)
 
 type cached = {
   c_file : string;
-  c_src : string;
   c_parse : (Parsetree.structure, string) result;
 }
 
 let parse_cached ~root rel =
   let src = read_file (Filename.concat root rel) in
-  { c_file = rel; c_src = src; c_parse = Parse_ml.parse ~file:rel ~src }
+  { c_file = rel; c_parse = Parse_ml.parse ~file:rel ~src }
 
 let cache_find cache rel =
   List.find_opt (fun c -> String.equal c.c_file rel) cache
@@ -181,17 +177,7 @@ let run ?(families = Rules.families) ~root ~allow_path () =
           | Error _ -> None)
         cache
   in
-  let token_findings =
-    if not (sel "D" || sel "A") then []
-    else
-      List.concat_map
-        (fun c ->
-          match c.c_parse with
-          | Ok _ -> []
-          | Error _ -> Token_rules.scan ~file:c.c_file ~src:c.c_src)
-        cache
-  in
-  let per_file = List.concat_map snd ast_findings @ token_findings in
+  let per_file = List.concat_map snd ast_findings in
   let proto = if sel "P" then protocol_findings_cached cache else [] in
   (* Whole-program passes over the shared call graph. *)
   let cg_notes = ref [] in
@@ -282,7 +268,8 @@ let run ?(families = Rules.families) ~root ~allow_path () =
     callgraph_notes = !cg_notes;
   }
 
-let clean report = List.is_empty report.findings
+let clean report =
+  List.is_empty report.findings && List.is_empty report.parse_failures
 
 (* Lint reports are JSON trees rendered by the one shared printer. *)
 module Json = Lazyctrl_util.Json

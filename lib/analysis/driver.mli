@@ -16,10 +16,9 @@ type report = {
           resolve — the whole-program passes' honest blind spots *)
 }
 
-(** Per-file rules on one source: Parsetree pass, or the token fallback
-    when the file does not parse (the parse error is returned too). *)
-val lint_source :
-  file:string -> src:string -> Finding.t list * string option
+(** Per-file rules on one source, or the parser's message when the file
+    does not parse. *)
+val lint_source : file:string -> src:string -> (Finding.t list, string) result
 
 (** Protocol checks against the tree under [root] — the same checks the
     @lint alias runs, exposed for tests. *)
@@ -31,7 +30,7 @@ val protocol_findings : root:string -> Finding.t list
 val run :
   ?families:string list -> root:string -> allow_path:string -> unit -> report
 
-(** No gating findings. *)
+(** No gating findings, and every scanned file parsed. *)
 val clean : report -> bool
 
 val report_to_json : report -> string

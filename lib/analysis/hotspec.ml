@@ -17,9 +17,7 @@
    stops — reachable from a hot entry but excused, with a written
    justification (cold-start growth, first-packet learning, the punt
    path).  Undocumented boundaries are exactly the rot this spec exists
-   to prevent, so the justification is mandatory.
-
-   Serializable in the allowlist's line format, like Ownership. *)
+   to prevent, so the justification is mandatory. *)
 
 type entry = { h_probe : string; h_id : string }
 type boundary = { b_id : string; b_why : string }
@@ -60,80 +58,13 @@ let validate spec =
         errs :=
           Printf.sprintf
             "cold boundary '%s' has no justification; say why allocation \
-             is acceptable there (format: cold <def-id> -- <why>)"
+             is acceptable there"
             b.b_id
           :: !errs)
     spec.cold;
   if List.is_empty spec.hot then
     errs := "hot-path spec declares no hot entries" :: !errs;
   List.rev !errs
-
-(* --- serialization --------------------------------------------------------- *)
-
-let to_string spec =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "hot %s %s\n" e.h_probe e.h_id))
-    spec.hot;
-  List.iter
-    (fun b ->
-      Buffer.add_string buf
-        (Printf.sprintf "cold %s -- %s\n" b.b_id b.b_why))
-    spec.cold;
-  Buffer.contents buf
-
-let split_ws s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun w -> not (String.equal w ""))
-
-let parse content =
-  let hot = ref [] and cold = ref [] and err = ref None in
-  let fail lineno msg =
-    if Option.is_none !err then
-      err := Some (Printf.sprintf "line %d: %s" lineno msg)
-  in
-  List.iteri
-    (fun idx raw ->
-      let lineno = idx + 1 in
-      let line, why =
-        let n = String.length raw in
-        let rec find i =
-          if i + 4 > n then None
-          else if String.equal (String.sub raw i 4) " -- " then Some i
-          else find (i + 1)
-        in
-        match find 0 with
-        | Some i ->
-            ( String.sub raw 0 i,
-              Some (String.trim (String.sub raw (i + 4) (n - i - 4))) )
-        | None -> (raw, None)
-      in
-      let line = String.trim line in
-      if String.equal line "" then ()
-      else if Char.equal line.[0] '#' then ()
-      else
-        match (split_ws line, why) with
-        | [ "hot"; probe; id ], None ->
-            hot := { h_probe = probe; h_id = id } :: !hot
-        | [ "hot"; _; _ ], Some _ ->
-            fail lineno "hot entries carry no justification clause"
-        | [ "cold"; id ], Some why -> cold := { b_id = id; b_why = why } :: !cold
-        | [ "cold"; id ], None ->
-            fail lineno
-              (Printf.sprintf
-                 "cold boundary '%s' needs a justification: cold <def-id> \
-                  -- <why>"
-                 id)
-        | _, _ ->
-            fail lineno
-              "expected 'hot <probe> <def-id>' or 'cold <def-id> -- <why>'")
-    (String.split_on_char '\n' content);
-  match !err with
-  | Some msg -> Error msg
-  | None -> Ok { hot = List.rev !hot; cold = List.rev !cold }
 
 (* --- the repo's declared spec ---------------------------------------------- *)
 

@@ -17,13 +17,6 @@ val probes : spec -> string list
     empty spec); Hotpath turns them into H000 findings. *)
 val validate : spec -> string list
 
-val to_string : spec -> string
-
-(** Inverse of [to_string]; line format
-    ["hot <probe> <def-id>" | "cold <def-id> -- <why>"] with [#] comments.
-    Returns the first error with its line number. *)
-val parse : string -> (spec, string) result
-
 (** The repo's declared spec — keep in sync with DESIGN.md §10, the
     hotpath bench targets, and HOTPATH_budget. *)
 val default : spec

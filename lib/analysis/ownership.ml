@@ -8,10 +8,7 @@
    sanctioned inter-domain surface — must carry a written justification),
    or read-only-after-init (built during setup, immutable while the run
    loop is live).  The Shard pass checks the code against the spec; the
-   sharding PR consumes the spec as its synchronization worklist.
-
-   The spec is also serializable (a line format in the allowlist's
-   spirit) so it can round-trip through files and reports. *)
+   sharding PR consumes the spec as its synchronization worklist. *)
 
 type owner_class = Shard_local | Shard_crossing | Read_only_after_init
 
@@ -20,20 +17,9 @@ let class_name = function
   | Shard_crossing -> "shard-crossing"
   | Read_only_after_init -> "read-only-after-init"
 
-let class_of_name = function
-  | "shard-local" -> Some Shard_local
-  | "shard-crossing" -> Some Shard_crossing
-  | "read-only-after-init" -> Some Read_only_after_init
-  | _ -> None
-
 type phase = Init | Run
 
 let phase_name = function Init -> "init" | Run -> "run"
-
-let phase_of_name = function
-  | "init" -> Some Init
-  | "run" -> Some Run
-  | _ -> None
 
 (* A classification rule: [path] is a repo-relative file ("lib/x/y.ml")
    or, with a trailing '/', a directory prefix.  File rules beat
@@ -112,80 +98,6 @@ let validate spec =
   if List.is_empty (run_entries spec) then
     errs := "ownership spec declares no run-phase entry points" :: !errs;
   List.rev !errs
-
-(* --- serialization --------------------------------------------------------- *)
-
-let to_string spec =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (match r.why with
-        | None -> Printf.sprintf "module %s %s\n" r.path (class_name r.cls)
-        | Some why ->
-            Printf.sprintf "module %s %s -- %s\n" r.path (class_name r.cls)
-              why))
-    spec.rules;
-  List.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "entry %s %s %s\n" (phase_name e.e_phase) e.e_shard
-           e.e_id))
-    spec.entries;
-  Buffer.contents buf
-
-let split_ws s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun w -> not (String.equal w ""))
-
-let parse content =
-  let rules = ref [] and entries = ref [] and err = ref None in
-  let fail lineno msg =
-    if Option.is_none !err then
-      err := Some (Printf.sprintf "line %d: %s" lineno msg)
-  in
-  List.iteri
-    (fun idx raw ->
-      let lineno = idx + 1 in
-      (* split on the first " -- " separator; '-' also appears inside
-         class names, so a bare index search will not do *)
-      let line, why =
-        let n = String.length raw in
-        let rec find i =
-          if i + 4 > n then None
-          else if String.equal (String.sub raw i 4) " -- " then Some i
-          else find (i + 1)
-        in
-        match find 0 with
-        | Some i ->
-            ( String.sub raw 0 i,
-              Some (String.trim (String.sub raw (i + 4) (n - i - 4))) )
-        | None -> (raw, None)
-      in
-      let line = String.trim line in
-      if String.equal line "" then ()
-      else if Char.equal line.[0] '#' then ()
-      else
-        match split_ws line with
-        | [ "module"; path; cls ] -> (
-            match class_of_name cls with
-            | Some cls -> rules := { path; cls; why } :: !rules
-            | None ->
-                fail lineno (Printf.sprintf "unknown ownership class '%s'" cls))
-        | [ "entry"; phase; shard; id ] -> (
-            match phase_of_name phase with
-            | Some e_phase ->
-                entries := { e_id = id; e_shard = shard; e_phase } :: !entries
-            | None -> fail lineno (Printf.sprintf "unknown phase '%s'" phase))
-        | _ ->
-            fail lineno
-              "expected 'module <path> <class> [-- why]' or 'entry \
-               <init|run> <shard> <def-id>'")
-    (String.split_on_char '\n' content);
-  match !err with
-  | Some msg -> Error msg
-  | None -> Ok { rules = List.rev !rules; entries = List.rev !entries }
 
 (* --- the repo's declared spec ---------------------------------------------- *)
 

@@ -39,11 +39,5 @@ val validate : spec -> string list
 (** Spec-level defects (undocumented crossings, duplicate rules, no run
     entries), as messages; {!Shard.check} reports them as S000. *)
 
-val to_string : spec -> string
-
-val parse : string -> (spec, string) result
-(** Inverse of {!to_string}; also accepts '#' comments and blank
-    lines. *)
-
 val default : spec
 (** The repo's declared spec — keep in sync with DESIGN.md §9. *)

@@ -151,7 +151,6 @@ let handle_controller_message t msg =
   | Message.Extension () ->
       ()
 
-let flow_table t = t.table
 let buffer_stats t = Buffer_pool.stats t.buffers
 
 let stats t =

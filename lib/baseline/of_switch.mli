@@ -38,7 +38,6 @@ val detach_host : t -> Host.t -> unit
 val handle_from_host : t -> Host.t -> Packet.t -> unit
 val handle_underlay : t -> Packet.t -> unit
 val handle_controller_message : t -> msg -> unit
-val flow_table : t -> Flow_table.t
 
 val buffer_stats : t -> Buffer_pool.stats
 (** Occupancy counters of the packet buffer behind buffered table-miss

@@ -92,6 +92,7 @@ type result = {
   reports : Invariant.report list;
   converged_after : Time.t option;
   link : Network.link_totals;
+  ctrl_bytes : int;
   reliability : Reliable.stats;
   switch_stats : Edge_switch.stats;
   controller_stats : Controller.stats list;
@@ -292,6 +293,7 @@ let run ?(tracer = Tracer.disabled) cfg =
       reports;
       converged_after;
       link = Network.link_stats net;
+      ctrl_bytes = Network.ctrl_bytes_sent net;
       reliability = Network.reliability_stats net;
       switch_stats;
       controller_stats =

@@ -49,6 +49,7 @@ type result = {
       (** time from the later of the last repair and the end of the
           fault window to all invariants holding; [None] = never *)
   link : Network.link_totals;
+  ctrl_bytes : int;  (** {!Network.ctrl_bytes_sent} at the end of the run *)
   reliability : Reliable.stats;
   switch_stats : Edge_switch.stats;
   controller_stats : Controller.stats list;  (** one per controller *)

@@ -90,10 +90,6 @@ let row t sw =
       Hashtbl.fold (fun _ k acc -> k :: acc) tbl []
       |> List.sort (fun (a : Proto.host_key) b -> Mac.compare a.mac b.mac)
 
-let rows t =
-  Sid.Tbl.fold (fun sw _ acc -> (sw, row t sw) :: acc) t.by_switch []
-  |> List.sort (fun (a, _) (b, _) -> Sid.compare a b)
-
 let locate_mac t mac =
   Option.map (fun e -> e.at) (Hashtbl.find_opt t.by_mac (Mac.to_int mac))
 
@@ -113,5 +109,3 @@ let switches_of_tenant t tenant =
       |> List.sort Sid.compare
 
 let n_entries t = Hashtbl.length t.by_mac
-
-let n_switches t = Sid.Tbl.length t.by_switch

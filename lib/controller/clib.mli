@@ -21,8 +21,6 @@ val set_row : t -> Ids.Switch_id.t -> Proto.host_key list -> unit
 val row : t -> Ids.Switch_id.t -> Proto.host_key list
 (** The known L-FIB of a switch (empty when unknown). *)
 
-val rows : t -> (Ids.Switch_id.t * Proto.host_key list) list
-
 val locate_mac : t -> Mac.t -> Ids.Switch_id.t option
 val locate_ip : t -> Ipv4.t -> (Ids.Switch_id.t * Proto.host_key) option
 
@@ -33,4 +31,3 @@ val switches_of_tenant : t -> Ids.Tenant_id.t -> Ids.Switch_id.t list
     of cross-group ARP relays. *)
 
 val n_entries : t -> int
-val n_switches : t -> int

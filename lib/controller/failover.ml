@@ -38,7 +38,6 @@ let verdict_rank = function
   | Ambiguous -> 5
   | Controller_failure -> 6
 
-let verdict_compare a b = Int.compare (verdict_rank a) (verdict_rank b)
 let verdict_equal a b = Int.equal (verdict_rank a) (verdict_rank b)
 
 (* Table I extended with the cluster's second spoke: when another

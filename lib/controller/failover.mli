@@ -30,9 +30,6 @@ type observation = {
           keep-alives (cluster evidence; always false standalone) *)
 }
 
-val observation_healthy : observation
-(** All-clear: every flag false. *)
-
 type verdict =
   | Healthy
   | Control_link_failure
@@ -48,8 +45,6 @@ type verdict =
 
 val infer : observation -> verdict
 (** Pure (extended) Table I lookup. *)
-
-val verdict_compare : verdict -> verdict -> int
 
 val verdict_equal : verdict -> verdict -> bool
 (** Dedicated comparisons — prefer these to polymorphic [=] on verdicts. *)
@@ -87,7 +82,6 @@ module Monitor : sig
   (** Cluster evidence: the switch's master controller went silent on
       the coordination plane (or came back). *)
 
-  val observation : t -> Ids.Switch_id.t -> observation
   val verdict : t -> Ids.Switch_id.t -> verdict
 
   val sweep : t -> (Ids.Switch_id.t * verdict) list

@@ -693,13 +693,11 @@ let create ?(params = Params.default)
      directions); peer links keep their own per-channel byte counters but
      are switch-to-switch load, not controller load. The hook fires once
      per encoded send, at the instant the channel's own [bytes_sent]
-     grows, and charges the sending shard's recorder and tracer, so their
+     grows, and charges the sending shard's recorder, so the recorders'
      totals equal the channel counters exactly — the DESIGN.md §13
      cross-check. *)
   let tap_ctrl_bytes s ch =
-    Channel.set_wire_hook ch (fun n ->
-        Recorder.on_control_bytes recorders.(s) n;
-        Tracer.add_ctrl_bytes tracers.(s) n)
+    Channel.set_wire_hook ch (fun n -> Recorder.on_control_bytes recorders.(s) n)
   in
   let ctrl_recorder = recorders.(ctrl_shard) in
   (match t.plane with
@@ -1044,9 +1042,9 @@ let link_stats t =
       Array.fold_left link_add acc p.of_ctrl_down
 
 (* Bytes sent on the controller-facing channels only — by construction
-   equal to the recorders' summed [total_ctrl_bytes] and the tracers'
-   summed [ctrl_bytes] (the wire hook fires exactly when these counters
-   grow); the cross-check test pins the equality. *)
+   equal to the recorders' summed [total_ctrl_bytes] (the wire hook fires
+   exactly when these counters grow); the cross-check test pins the
+   equality. *)
 let ctrl_bytes_sent t =
   let sum acc arr =
     Array.fold_left (fun acc ch -> acc + Channel.bytes_sent ch) acc arr

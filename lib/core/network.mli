@@ -266,9 +266,8 @@ val ctrl_bytes_sent : t -> int
     load behind the bytes/sec series.  The coordination mesh is
     value-passing and uncounted: management-plane traffic between
     controller processes, not switch-facing control load (DESIGN.md
-    §13).  Equals the recorders' summed [total_ctrl_bytes]
-    and the tracers' summed [ctrl_bytes] exactly, by construction: each
-    send charges its own shard's recorder and tracer. *)
+    §13).  Equals the recorders' summed [total_ctrl_bytes] exactly, by
+    construction: each send charges its own shard's recorder. *)
 
 val reliability_stats : t -> Lazyctrl_openflow.Reliable.stats
 (** Aggregate over every reliable session in the network — controller-side,

@@ -23,5 +23,4 @@ let submit t f =
          f ()))
 
 let queue_length t = t.in_flight
-let busy_until t = t.busy_until
 let completed t = t.completed

@@ -18,5 +18,4 @@ val submit : t -> (unit -> unit) -> unit
 val queue_length : t -> int
 (** Requests submitted but not yet finished. *)
 
-val busy_until : t -> Time.t
 val completed : t -> int

@@ -11,10 +11,7 @@ val heavy_edge_matching : rng:Lazyctrl_util.Prng.t -> Wgraph.t -> int array
     vertex id of [v]; coarse ids are dense in [0..n'-1]. Unmatched vertices
     map to singleton coarse vertices. *)
 
-val contract : Wgraph.t -> int array -> Wgraph.t
-(** [contract g cmap] builds the coarse graph induced by a coarse-vertex
-    mapping. Self-loops produced by contraction are dropped (they do not
-    contribute to any cut). *)
-
 val coarsen : rng:Lazyctrl_util.Prng.t -> Wgraph.t -> Wgraph.t * int array
-(** [heavy_edge_matching] followed by [contract]. *)
+(** [heavy_edge_matching] followed by contraction: the coarse graph
+    induced by the mapping, without the self-loops contraction produces
+    (they do not contribute to any cut). *)

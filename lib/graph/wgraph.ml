@@ -78,7 +78,6 @@ let n_edges t = Array.length t.adjncy / 2
 let vertex_weight t v = t.vwgt.(v)
 let total_vertex_weight t = Array.fold_left ( + ) 0 t.vwgt
 let total_edge_weight t = t.total_ew
-let degree t v = t.xadj.(v + 1) - t.xadj.(v)
 
 let iter_neighbors t u f =
   for i = t.xadj.(u) to t.xadj.(u + 1) - 1 do
@@ -127,7 +126,3 @@ let of_edges ~n edges =
   let b = Builder.create ~n in
   List.iter (fun (u, v, w) -> Builder.add_edge b u v w) edges;
   Builder.build b
-
-let pp fmt t =
-  Format.fprintf fmt "graph(n=%d m=%d ew=%.2f)" (n_vertices t) (n_edges t)
-    (total_edge_weight t)

@@ -37,13 +37,9 @@ val total_vertex_weight : t -> int
 val total_edge_weight : t -> float
 (** Sum over undirected edges. *)
 
-val degree : t -> int -> int
-
 val iter_neighbors : t -> int -> (int -> float -> unit) -> unit
 (** [iter_neighbors g u f] calls [f v w] for every edge [u–v] of weight
     [w]. *)
-
-val fold_neighbors : t -> int -> ('a -> int -> float -> 'a) -> 'a -> 'a
 
 val iter_edges : t -> (int -> int -> float -> unit) -> unit
 (** Each undirected edge visited once with [u < v]. *)
@@ -62,5 +58,3 @@ val induced : t -> int array -> t * int array
 
 val of_edges : n:int -> (int * int * float) list -> t
 (** Convenience builder. *)
-
-val pp : Format.formatter -> t -> unit

@@ -77,11 +77,3 @@ let group_pair_intensity g t =
          | 0 -> (
              match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c)
          | c -> c)
-
-let equal a b =
-  Int.equal (Array.length a.assignment) (Array.length b.assignment)
-  && Array.for_all2 Int.equal a.assignment b.assignment
-
-let pp fmt t =
-  Format.fprintf fmt "grouping(%d switches, %d groups, max=%d)" (n_switches t)
-    (n_groups t) (max_group_size t)

@@ -43,6 +43,3 @@ val normalized_inter : Wgraph.t -> t -> float
 val group_pair_intensity : Wgraph.t -> t -> (int * int * float) list
 (** Intensity between each pair of groups with non-zero exchange,
     descending by weight. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -37,5 +37,4 @@ let of_switch_id id =
 
 let compare = Int.compare
 let equal = Int.equal
-let hash t = t
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -42,5 +42,4 @@ let of_host_id id =
 
 let compare = Int.compare
 let equal = Int.equal
-let hash t = t land max_int
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -22,5 +22,4 @@ val of_host_id : int -> t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit

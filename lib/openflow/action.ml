@@ -6,12 +6,3 @@ type t =
   | Flood_local
   | To_controller
   | Drop
-
-let equal = ( = )
-
-let pp fmt = function
-  | Deliver h -> Format.fprintf fmt "deliver(%a)" Ids.Host_id.pp h
-  | Encap ip -> Format.fprintf fmt "encap(%a)" Ipv4.pp ip
-  | Flood_local -> Format.pp_print_string fmt "flood_local"
-  | To_controller -> Format.pp_print_string fmt "to_controller"
-  | Drop -> Format.pp_print_string fmt "drop"

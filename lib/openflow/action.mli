@@ -12,6 +12,3 @@ type t =
   | Flood_local               (** all local host ports (tenant-filtered by the datapath) *)
   | To_controller             (** punt via Packet_in on the control link *)
   | Drop
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -93,10 +93,8 @@ let set_receiver t f = t.receiver <- Some f
 
 let set_loss t ~rng spec = t.loss <- Some { rng; spec; bad = false }
 let clear_loss t = t.loss <- None
-let loss_active t = Option.is_some t.loss
 
 let set_codec t ~encode ~decode = t.codec <- Some (encode, decode)
-let codec_active t = Option.is_some t.codec
 let set_wire_hook t f = t.on_wire <- Some f
 
 (* How many copies of this message reach the wire: 0 (lost), 1, or 2

@@ -66,7 +66,6 @@ val set_loss : 'msg t -> rng:Prng.t -> loss_spec -> unit
     {!Prng.named} sub-stream per channel keeps runs reproducible. *)
 
 val clear_loss : 'msg t -> unit
-val loss_active : 'msg t -> bool
 
 val set_codec :
   'msg t -> encode:('msg -> bytes) -> decode:(bytes -> 'msg) -> unit
@@ -78,13 +77,11 @@ val set_codec :
     infidelity is observable as a behavioral change. Loss-model draw
     alignment, FIFO order and epochs are unaffected. *)
 
-val codec_active : 'msg t -> bool
-
 val set_wire_hook : 'msg t -> (int -> unit) -> unit
 (** Called with the frame length, once per encoded send (not per
-    duplicate), at the instant {!bytes_sent} grows — the tap the tracer
-    and the metrics recorder hang off, which keeps their byte totals
-    equal to the channel counters by construction. *)
+    duplicate), at the instant {!bytes_sent} grows — the tap the metrics
+    recorder hangs off, which keeps its byte totals equal to the channel
+    counters by construction. *)
 
 val send : 'msg t -> 'msg -> bool
 (** Enqueue for delivery after the channel latency; [false] (and a drop)

@@ -134,7 +134,6 @@ let lookup t ~now eth =
   lookup_rows t ~now eth t.rows
 
 let size t = List.length t.rows
-let capacity t = t.capacity
 
 let stats t =
   {
@@ -144,8 +143,6 @@ let stats t =
     evictions = t.evictions;
     expiries = t.expiries;
   }
-
-let entries t = List.map (fun l -> l.entry) t.rows
 
 let packet_count t ~cookie =
   List.fold_left

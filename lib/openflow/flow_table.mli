@@ -46,10 +46,7 @@ val sweep : t -> now:Time.t -> int
 (** Drop all expired entries; returns how many. *)
 
 val size : t -> int
-val capacity : t -> int
 val stats : t -> stats
-val entries : t -> entry list
-(** Live entries in decreasing priority order (for inspection/tests). *)
 
 val packet_count : t -> cookie:int -> int
 (** Total packets matched by entries carrying the cookie. *)

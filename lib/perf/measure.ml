@@ -1,10 +1,9 @@
 (* Fixed-work benchmark measurement.
 
-   Bechamel's OLS harness is great for statistical microbenchmarks but
-   its adaptive iteration counts make run-to-run comparison noisy and
-   its results awkward to serialize.  Regression tracking wants the
-   opposite trade-off: a fixed amount of work, repeated a fixed number
-   of times, timed with the monotonic clock, with the best repetition
+   Statistical harnesses with adaptive iteration counts (Bechamel's OLS)
+   make run-to-run comparison noisy and their results awkward to
+   serialize.  Regression tracking wants the opposite trade-off: a fixed
+   amount of work, repeated a fixed number of times, timed with the monotonic clock, with the best repetition
    reported (the minimum is the standard robust estimator for "how fast
    can this go" — outliers from preemption only ever slow a run down). *)
 

@@ -1,10 +1,8 @@
 (** Fixed-work benchmark measurement over the monotonic {!Clock}.
 
-    Unlike the Bechamel OLS harness (kept for exploratory
-    microbenchmarks), this layer runs a fixed workload a fixed number of
-    repetitions and reports the fastest one, which is what
-    machine-readable regression tracking needs: the same invocation
-    does the same work every time. *)
+    This layer runs a fixed workload a fixed number of repetitions and
+    reports the fastest one, which is what machine-readable regression
+    tracking needs: the same invocation does the same work every time. *)
 
 type result = {
   name : string;  (** stable target identifier, e.g. ["engine-event"] *)

@@ -206,12 +206,10 @@ let create ?(tracer = Tracer.disabled) ?rng env config ~self =
     s_miss_replayed = 0;
   }
 
-let self t = t.self
 let is_up t = t.up
 let group t = t.group
 let lfib t = t.lfib
 let gfib t = t.gfib
-let flow_table t = t.table
 
 let is_designated t =
   match t.group with
@@ -977,7 +975,6 @@ let stats t =
 
 let control_link_suspect t = t.ctrl_suspect
 let misses_pending t = Queue.length t.miss_buffer
-let buffer_stats t = Buffer_pool.stats t.buffers
 let master_term t = t.master_term
 
 let reliable_stats t =

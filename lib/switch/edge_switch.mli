@@ -90,8 +90,6 @@ val create :
     switch's reliable sessions (each session derives its own named
     sub-stream; the parent is never advanced). *)
 
-val self : t -> Ids.Switch_id.t
-
 val attach_host : t -> Host.t -> unit
 (** VM boot / migration arrival: learn into the L-FIB and advertise. *)
 
@@ -118,10 +116,8 @@ val set_control_relay : t -> Ids.Switch_id.t option -> unit
     {!Proto.Relay} and sent through the given ring neighbour. *)
 
 val group : t -> Proto.group_config option
-val is_designated : t -> bool
 val lfib : t -> Lfib.t
 val gfib : t -> Gfib.t
-val flow_table : t -> Flow_table.t
 val stats : t -> stats
 
 val control_link_suspect : t -> bool
@@ -129,9 +125,6 @@ val control_link_suspect : t -> bool
 
 val misses_pending : t -> int
 (** Inter-group misses currently buffered awaiting reconnect. *)
-
-val buffer_stats : t -> Buffer_pool.stats
-(** Occupancy counters of the packet buffer pool behind buffered punts. *)
 
 val master_term : t -> int
 (** Highest {!Proto.Rehome} term accepted so far (0 before any claim, and

@@ -12,7 +12,6 @@ type t = {
   counts : int array;  (* cumulative, indexed by Event.tag *)
   last_span : (int, Event.span) Hashtbl.t;  (* flow -> last span *)
   flow_ranks : (int, int) Hashtbl.t;  (* flow -> verdict rank *)
-  mutable ctrl_bytes : int;  (* control-channel bytes, never sampled *)
 }
 
 let disabled =
@@ -26,7 +25,6 @@ let disabled =
     counts = [||];
     last_span = Hashtbl.create 1;
     flow_ranks = Hashtbl.create 1;
-    ctrl_bytes = 0;
   }
 
 let create ?(sample_every = 1) ?(capacity = 262_144) () =
@@ -42,7 +40,6 @@ let create ?(sample_every = 1) ?(capacity = 262_144) () =
     counts = Array.make Event.n_tags 0;
     last_span = Hashtbl.create 4096;
     flow_ranks = Hashtbl.create 4096;
-    ctrl_bytes = 0;
   }
 
 let enabled t = t.on
@@ -50,14 +47,6 @@ let enabled t = t.on
 let derive t =
   if t.on then create ~sample_every:t.sample_every ~capacity:t.capacity ()
   else disabled
-
-(* Byte accounting is a plain accumulator, not an event: wire-hook
-   frequency (one call per encoded control message) would swamp the ring,
-   and the cross-check against the channel counters needs totals exempt
-   from sampling and eviction. The [t.on] guard keeps the shared
-   [disabled] value immutable. *)
-let add_ctrl_bytes t n = if t.on then t.ctrl_bytes <- t.ctrl_bytes + n
-let ctrl_bytes t = t.ctrl_bytes
 
 let sampled t flow = t.sample_every <= 1 || flow mod t.sample_every = 0
 

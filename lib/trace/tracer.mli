@@ -72,17 +72,6 @@ val controller_requests : t -> int
 (** Cumulative [Ctrl_request] events; with sampling off this equals the
     recorder's total controller request count — the Fig. 7 cross-check. *)
 
-val add_ctrl_bytes : t -> int -> unit
-(** Charge [n] bytes of control-channel load (fed by
-    {!Lazyctrl_openflow.Channel.set_wire_hook}, one call per encoded
-    send).  A running accumulator rather than ring events: byte totals
-    are exempt from sampling and eviction, so {!ctrl_bytes} always equals
-    the sum of the channels' own byte counters exactly (DESIGN.md §13's
-    cross-check).  No-op when disabled. *)
-
-val ctrl_bytes : t -> int
-(** Cumulative control-channel bytes charged so far (0 when disabled). *)
-
 val summary : t -> Laziness.summary
 (** Laziness accounting from the cumulative per-flow state (exact even
     after ring eviction). *)

@@ -10,9 +10,6 @@ open Lazyctrl_graph
 open Lazyctrl_topo
 module Prng = Lazyctrl_util.Prng
 
-val host_graph : Trace.t -> Wgraph.t
-(** Vertices are host ids, edge weights are flow counts between the pair. *)
-
 val switch_intensity :
   ?from:Time.t -> ?until:Time.t -> ?exclude_hosts:Lazyctrl_net.Ids.Host_id.Set.t ->
   topo:Topology.t -> Trace.t -> Wgraph.t

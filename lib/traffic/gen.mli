@@ -21,9 +21,6 @@ open Lazyctrl_sim
 open Lazyctrl_topo
 module Prng = Lazyctrl_util.Prng
 
-val diurnal_profile : float array
-(** 24 per-hour activity weights (relative), peaking in working hours. *)
-
 val real_like :
   rng:Prng.t ->
   topo:Topology.t ->

@@ -105,13 +105,6 @@ let iter ?from ?until t f =
     f (flow t i)
   done
 
-let fold t f init =
-  let acc = ref init in
-  for i = 0 to n_flows t - 1 do
-    acc := f !acc (flow t i)
-  done;
-  !acc
-
 let total_bytes t = Array.fold_left ( + ) 0 t.bytes
 
 let pair_key s d = if s < d then (s, d) else (d, s)

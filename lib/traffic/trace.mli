@@ -44,8 +44,6 @@ val flow : t -> int -> flow
 val iter : ?from:Time.t -> ?until:Time.t -> t -> (flow -> unit) -> unit
 (** Flows with [from <= time < until]. *)
 
-val fold : t -> ('a -> flow -> 'a) -> 'a -> 'a
-
 val total_bytes : t -> int
 
 val pair_flow_counts : t -> (int * int, int) Hashtbl.t

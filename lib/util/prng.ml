@@ -13,8 +13,6 @@ let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
 
-let split t = { state = bits64 t }
-
 (* FNV-1a over the label, folded into the parent state without advancing it. *)
 let named t label =
   let h = ref 0xCBF29CE484222325L in

@@ -3,9 +3,9 @@
     All randomness in the library flows through this module so that every
     simulation and experiment is reproducible from a single integer seed.
     The generator is SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): a tiny,
-    fast, well-distributed 64-bit generator with an O(1) [split] operation
-    that derives statistically independent child streams, which lets each
-    simulated component own a private stream without global sequencing. *)
+    fast, well-distributed 64-bit generator whose labelled child streams
+    ({!named}) are statistically independent, which lets each simulated
+    component own a private stream without global sequencing. *)
 
 type t
 (** Mutable generator state. *)
@@ -13,10 +13,6 @@ type t
 val create : int -> t
 (** [create seed] makes a generator from an integer seed. Equal seeds give
     equal streams. *)
-
-val split : t -> t
-(** [split t] returns a new generator whose stream is independent from the
-    future output of [t]. Advances [t] by one step. *)
 
 val named : t -> string -> t
 (** [named t label] derives a child stream keyed by [label]; the same parent

@@ -42,7 +42,6 @@ module Online = struct
 
   let variance t = if t.n < 2 then 0.0 else t.m2 /. Float.of_int (t.n - 1)
 
-  let stddev t = sqrt (variance t)
 
   let min t = t.mn
 
@@ -75,15 +74,13 @@ module Reservoir = struct
     sample : float array;
     mutable filled : int;
     mutable seen : int;
-    mutable sum : float;
   }
 
   let create ?(capacity = 4096) rng =
-    { rng; sample = Array.make capacity 0.0; filled = 0; seen = 0; sum = 0.0 }
+    { rng; sample = Array.make capacity 0.0; filled = 0; seen = 0 }
 
   let add t x =
     t.seen <- t.seen + 1;
-    t.sum <- t.sum +. x;
     let cap = Array.length t.sample in
     if t.filled < cap then begin
       t.sample.(t.filled) <- x;
@@ -103,8 +100,6 @@ module Reservoir = struct
       Array.sort Float.compare a;
       percentile_of_sorted a p
     end
-
-  let mean t = if t.seen = 0 then nan else t.sum /. Float.of_int t.seen
 end
 
 module Histogram = struct
@@ -140,15 +135,6 @@ module Histogram = struct
   let count t = t.total
 
   let bucket_counts t = Array.copy t.counts
-
-  let bucket_bounds t =
-    let buckets = Array.length t.counts - 2 in
-    Array.init (buckets + 2) (fun i ->
-        if i = 0 then (neg_infinity, t.lo)
-        else if i = buckets + 1 then (t.hi, infinity)
-        else
-          let lo = t.lo +. (Float.of_int (i - 1) *. t.width) in
-          (lo, lo +. t.width))
 end
 
 module Timeseries = struct
@@ -190,9 +176,4 @@ module Timeseries = struct
 
   let rates t =
     Array.map (fun c -> Float.of_int c /. t.bucket_width) t.counts
-
-  let label t i =
-    let lo = t.bucket_width *. Float.of_int i in
-    let hi = lo +. t.bucket_width in
-    Printf.sprintf "%g-%g" lo hi
 end

@@ -14,7 +14,6 @@ module Online : sig
   val variance : t -> float
   (** Unbiased sample variance; 0 with fewer than two samples. *)
 
-  val stddev : t -> float
   val min : t -> float
   (** [nan] when empty. *)
 
@@ -39,8 +38,6 @@ module Reservoir : sig
   val percentile : t -> float -> float
   (** [percentile t 0.99] — linear interpolation between order statistics of
       the retained sample. [nan] when empty. Argument in [\[0,1\]]. *)
-
-  val mean : t -> float
 end
 
 module Histogram : sig
@@ -53,8 +50,6 @@ module Histogram : sig
   val count : t -> int
   val bucket_counts : t -> int array
   (** [buckets + 2] entries: underflow, the buckets, overflow. *)
-
-  val bucket_bounds : t -> (float * float) array
 end
 
 module Timeseries : sig
@@ -80,9 +75,6 @@ module Timeseries : sig
   val rates : t -> float array
   (** Per-bucket event count divided by bucket width (events per time
       unit). *)
-
-  val label : t -> int -> string
-  (** ["lo-hi"] label of a bucket on the time axis, for table rows. *)
 end
 
 val percentile_of_sorted : float array -> float -> float

@@ -1,7 +1,9 @@
 (* Smoke tests for the experiment harness: every table builder must
    produce a well-formed table on miniature workloads, so regressions in
-   the bench targets are caught by `dune runtest` rather than by a broken
-   paper-reproduction run. *)
+   the experiments are caught by `dune runtest` rather than by a broken
+   paper-reproduction run.  The driver cases shell out to the built CLI
+   (a dune dep of the test stanza) to check `lazyctrl experiment`
+   itself. *)
 
 module E = Lazyctrl_experiments
 module Table = Lazyctrl_util.Table
@@ -62,6 +64,35 @@ let test_coldcache_ordering () =
     (r.E.Coldcache.lazy_inter_ms < r.E.Coldcache.openflow_ms);
   check Alcotest.bool "intra is sub-millisecond" true (r.E.Coldcache.lazy_intra_ms < 1.0)
 
+(* --- the `lazyctrl experiment` driver --------------------------------------- *)
+
+let cli = Filename.concat (Filename.concat ".." "bin") "lazyctrl_cli.exe"
+
+(* Exit code and stdout+stderr of one CLI run. *)
+let run_cli args =
+  let out = Filename.temp_file "lazyctrl_cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s %s > %s 2>&1" cli args (Filename.quote out))
+      in
+      (rc, In_channel.with_open_text out In_channel.input_all))
+
+let test_unknown_experiment () =
+  let rc, _ = run_cli "experiment nope" in
+  check Alcotest.bool "an unknown NAME exits non-zero" true (rc <> 0)
+
+let test_experiment_section () =
+  let rc, out = run_cli "experiment --quick storage" in
+  check Alcotest.int "exits 0" 0 rc;
+  check Alcotest.string "section header, then the table"
+    ("\n=== G-FIB storage overhead and false-positive rate (§V-D) ===\n"
+    ^ Table.render (E.Storage_exp.table ())
+    ^ "\n")
+    out
+
 let () =
   Alcotest.run "experiments"
     [
@@ -73,5 +104,12 @@ let () =
           Alcotest.test_case "grouping tables" `Slow test_grouping_tables;
           Alcotest.test_case "host exclusion" `Slow test_exclusion_table;
           Alcotest.test_case "cold-cache ordering" `Slow test_coldcache_ordering;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "unknown experiment is a usage error" `Quick
+            test_unknown_experiment;
+          Alcotest.test_case "section header then table" `Quick
+            test_experiment_section;
         ] );
     ]

@@ -10,9 +10,9 @@
      version, an unknown type tag, and trailing bytes all raise;
    - the buffered-punt end-to-end path on the baseline plane (miss →
      buffer_id punt → FlowMod + BufferOut → delivery);
-   - the byte-accounting cross-check: the channel counters, the metrics
-     recorder, and the flight recorder agree exactly, and same-seed runs
-     produce identical byte totals. *)
+   - the byte-accounting cross-check: the channel counters and the
+     metrics recorder agree exactly, and same-seed runs produce identical
+     byte totals. *)
 
 open Lazyctrl_net
 open Lazyctrl_sim
@@ -23,7 +23,6 @@ open Lazyctrl_baseline
 module Wire = Lazyctrl_wire.Wire
 module Proto = Lazyctrl_switch.Proto
 module Prng = Lazyctrl_util.Prng
-module Tracer = Lazyctrl_trace.Tracer
 module Recorder = Lazyctrl_metrics.Recorder
 
 let qtest ?(count = 100) name gen prop =
@@ -652,12 +651,12 @@ let test_buffered_punt_e2e () =
     (Network.ctrl_bytes_sent net > 0)
 
 (* Flows start between runs, as a sharded network requires. *)
-let run_lazy ?tracer ?shards ?controllers seed =
+let run_lazy ?shards ?controllers seed =
   let topo = build_topo seed in
   let net =
     Network.create
       ~params:(Params.with_seed seed Params.default)
-      ?tracer ?shards ?controllers ~mode:Network.Lazy ~topo
+      ?shards ?controllers ~mode:Network.Lazy ~topo
       ~horizon:(Time.of_min 10) ()
   in
   Network.bootstrap net ();
@@ -675,12 +674,12 @@ let run_lazy ?tracer ?shards ?controllers seed =
   net
 
 (* On one shard, on four, and with three controllers: every send charges
-   its own shard's recorder and tracer, so the per-shard totals sum to
-   the channel counters of every controller's spokes. *)
+   its own shard's recorder, so the per-shard totals sum to the channel
+   counters of every controller's spokes. *)
 let test_byte_crosscheck () =
   List.iter
     (fun (shards, controllers) ->
-      let net = run_lazy ~tracer:(Tracer.create ()) ~shards ~controllers 23 in
+      let net = run_lazy ~shards ~controllers 23 in
       let sum f arr = Array.fold_left (fun acc x -> acc + f x) 0 arr in
       let sent = Network.ctrl_bytes_sent net in
       let msg what =
@@ -689,8 +688,6 @@ let test_byte_crosscheck () =
       Alcotest.(check bool) (msg "control channels carried bytes") true (sent > 0);
       Alcotest.(check int) (msg "recorder totals equal the channel counters") sent
         (sum Recorder.total_ctrl_bytes (Network.recorders net));
-      Alcotest.(check int) (msg "tracer totals equal the channel counters") sent
-        (sum Tracer.ctrl_bytes (Network.tracers net));
       let totals = Network.link_stats net in
       Alcotest.(check bool)
         (msg "all-channel byte totals dominate the controller-facing subset")
