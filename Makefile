@@ -1,4 +1,4 @@
-.PHONY: all build test lint lint-check lint-json lint-sarif lint-ownership lint-hotpath bench bench-json bench-check shard-check chaos chaos-cluster reproduce clean
+.PHONY: all build test lint lint-check lint-json lint-sarif lint-hotpath bench bench-json bench-check shard-check chaos chaos-cluster reproduce clean
 
 all: build
 
@@ -29,16 +29,6 @@ lint-sarif:
 	./_build/default/bin/lazyctrl_lint.exe --root . --format sarif --check \
 	  > _build/lint-report.sarif
 	@echo "wrote _build/lint-report.sarif"
-
-# Shared-state ownership report: every module's ownership class
-# (shard-local / shard-crossing / read-only-after-init) next to its
-# declared mutable state.  This is the synchronization worklist the
-# multicore sharding PR consumes (ROADMAP item 2, DESIGN.md §9).
-lint-ownership:
-	dune build bin/lazyctrl_lint.exe
-	./_build/default/bin/lazyctrl_lint.exe --root . --ownership-report \
-	  > _build/ownership-report.json
-	@echo "wrote _build/ownership-report.json"
 
 # H00x hot-path cross-validation (DESIGN.md §10): measure every probe
 # declared in lib/analysis/hotspec.ml with the bench hotpath targets,

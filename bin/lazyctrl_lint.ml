@@ -10,7 +10,7 @@
 
 let usage =
   "lazyctrl_lint [--root DIR] [--allow FILE] [--format text|json|sarif] \
-   [--check] [--rules FAMILIES] [--list-rules] [--ownership-report] \
+   [--check] [--rules FAMILIES] [--list-rules] \
    [--hotpath-report [--budget FILE] [--measured FILE]]"
 
 type format = Text | Json | Sarif
@@ -21,7 +21,6 @@ let () =
   let format = ref Text in
   let check = ref false in
   let list_rules = ref false in
-  let ownership_report = ref false in
   let hotpath_report = ref false in
   let budget = ref "HOTPATH_budget" in
   let measured_file = ref None in
@@ -76,10 +75,6 @@ let () =
         "FAMILIES comma-separated rule families to run (subset of \
          D,A,P,E,L,X,S,H; default all)" );
       ("--list-rules", Arg.Set list_rules, " list rule identifiers and exit");
-      ( "--ownership-report",
-        Arg.Set ownership_report,
-        " emit the shared-state ownership report as JSON and exit (the \
-         sharding PR's synchronization worklist)" );
       ( "--hotpath-report",
         Arg.Set hotpath_report,
         " emit the H00x hot-path cross-validation report and exit \
@@ -102,10 +97,6 @@ let () =
     usage;
   if !list_rules then begin
     List.iter print_endline Lazyctrl_analysis.Rules.all;
-    exit 0
-  end;
-  if !ownership_report then begin
-    print_string (Lazyctrl_analysis.Driver.ownership_report_json ~root:!root ());
     exit 0
   end;
   let allow_path =

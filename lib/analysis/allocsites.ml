@@ -61,11 +61,9 @@ let rule_of = function
   | Poly | Indirect -> Rules.h_hot_indirect
   | Raise | Try -> Rules.h_hot_raise
 
-let flatten_longident lid = try Some (Longident.flatten lid) with _ -> None
-
 let ident_path e =
   match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> flatten_longident txt
+  | Pexp_ident { txt; _ } -> Parse_ml.flatten_longident txt
   | _ -> None
 
 let last_segment path = match List.rev path with s :: _ -> s | [] -> ""
@@ -162,7 +160,7 @@ let scan structure =
           | (_, a) :: _ -> (
               match a.pexp_desc with
               | Pexp_construct ({ txt; _ }, _) -> (
-                  match flatten_longident txt with
+                  match Parse_ml.flatten_longident txt with
                   | Some p -> " " ^ last_segment p
                   | None -> "")
               | _ -> "")
@@ -187,7 +185,7 @@ let scan structure =
         | Pexp_array _ ->
             push ~loc:e.pexp_loc Array_lit "array literal allocation"
         | Pexp_construct ({ txt; _ }, Some _) -> (
-            match flatten_longident txt with
+            match Parse_ml.flatten_longident txt with
             | Some [ "::" ] -> push ~loc:e.pexp_loc Cons "list cons (::)"
             | Some p ->
                 push ~loc:e.pexp_loc Cons
@@ -201,7 +199,7 @@ let scan structure =
         | Pexp_try _ ->
             push ~loc:e.pexp_loc Try "try...with control flow"
         | Pexp_ident { txt; _ } -> (
-            match flatten_longident txt with
+            match Parse_ml.flatten_longident txt with
             | Some p when is_poly_compare_path p ->
                 push ~loc:e.pexp_loc Poly
                   (Printf.sprintf "polymorphic %s" (last_segment p))
@@ -218,7 +216,7 @@ let scan structure =
                 match fn.pexp_desc with
                 | Pexp_field (_, { txt; _ }) ->
                     let field =
-                      match flatten_longident txt with
+                      match Parse_ml.flatten_longident txt with
                       | Some p -> last_segment p
                       | None -> "?"
                     in

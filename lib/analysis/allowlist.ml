@@ -18,11 +18,6 @@ type entry = {
 
 type t = { file : string; entries : entry list }
 
-let split_ws s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun w -> not (String.equal w ""))
-
 (* Returns the parsed allowlist plus findings for malformed entries. *)
 let parse_string ~file content =
   let entries = ref [] in
@@ -39,7 +34,7 @@ let parse_string ~file content =
       if String.equal line "" then ()
       else if Char.equal line.[0] '#' then ()
       else
-        match split_ws line with
+        match Rules.split_ws line with
         | path :: rule :: (_ :: _ as just) ->
             if not (Rules.is_known rule) then
               bad lineno

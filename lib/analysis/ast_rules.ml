@@ -22,11 +22,9 @@ let emit ctx ~loc ~rule ~severity message =
       ~col:(Parse_ml.col_of loc) ~rule ~severity message
     :: ctx.findings
 
-let flatten_longident lid = try Some (Longident.flatten lid) with _ -> None
-
 let ident_path e =
   match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> flatten_longident txt
+  | Pexp_ident { txt; _ } -> Parse_ml.flatten_longident txt
   | _ -> None
 
 (* The head identifier of an expression: the function of an application
@@ -119,7 +117,7 @@ let empty_construct e =
 let keyed_field e =
   match e.pexp_desc with
   | Pexp_field (_, { txt; _ }) -> (
-      match flatten_longident txt with
+      match Parse_ml.flatten_longident txt with
       | Some path -> (
           match List.rev path with
           | f :: _ when List.exists (String.equal f) Rules.keyed_fields ->
@@ -221,7 +219,7 @@ let scan ~file structure =
     (match e.pexp_desc with
     | Pexp_apply (fn, args) -> check_apply ctx fn args
     | Pexp_ident { txt; _ } -> (
-        match flatten_longident txt with
+        match Parse_ml.flatten_longident txt with
         | Some path -> check_ident ctx e.pexp_loc path
         | None -> ())
     | _ -> ());

@@ -31,7 +31,6 @@ type def = {
   d_refs : (string list * int * int) list;  (* raw value-ident paths in the body *)
   d_opens : string list list;  (* opens in scope at the def, innermost first *)
   d_encl : string list list;  (* enclosing module quals, innermost first *)
-  d_mutates : bool;  (* a set-field / set-instance-var occurs in the body *)
 }
 
 type finfo = {
@@ -81,6 +80,9 @@ let lib_of_path rel =
   | "lib" :: d :: _ :: _ -> Some d
   | _ -> None
 
+(* A path tagged with the start (line, col) of [loc]. *)
+let located p loc = (p, Parse_ml.line_of loc, Parse_ml.col_of loc)
+
 (* --- collection ------------------------------------------------------------ *)
 
 type cstate = {
@@ -93,11 +95,6 @@ type cstate = {
   mutable cs_notes : string list;
       (* constructs this name-based index cannot fully resolve *)
 }
-
-let flatten_longident lid = try Some (Longident.flatten lid) with _ -> None
-
-let loc_line (loc : Location.t) = loc.loc_start.pos_lnum
-let loc_col (loc : Location.t) = loc.loc_start.pos_cnum - loc.loc_start.pos_bol
 
 let rec pattern_vars p =
   match p.ppat_desc with
@@ -120,7 +117,7 @@ let rec pattern_vars p =
 let rec module_idents me =
   match me.pmod_desc with
   | Pmod_ident { txt; _ } -> (
-      match flatten_longident txt with Some p -> [ p ] | None -> [])
+      match Parse_ml.flatten_longident txt with Some p -> [ p ] | None -> [])
   | Pmod_apply (a, b) -> module_idents a @ module_idents b
   | Pmod_constraint (m, _) -> module_idents m
   | Pmod_functor (_, m) -> module_idents m
@@ -133,7 +130,6 @@ type body = {
   b_trefs : (string list * int * int) list;
   b_opens : (string list * int * int) list;
   b_uses : string list list;
-  b_mutates : bool;
 }
 
 let collect_body ?(note = fun (_ : string) -> ()) e =
@@ -141,7 +137,6 @@ let collect_body ?(note = fun (_ : string) -> ()) e =
   let trefs = ref [] in
   let opens = ref [] in
   let uses = ref [] in
-  let mutates = ref false in
   (* Local [let module M = ...] bindings, innermost first.  References
      through the bound name are rewritten to the binding's target (the
      functor head for applications, mirroring the structure-level
@@ -158,7 +153,7 @@ let collect_body ?(note = fun (_ : string) -> ()) e =
   in
   let rec local_module_head me =
     match me.pmod_desc with
-    | Pmod_ident { txt; _ } -> flatten_longident txt
+    | Pmod_ident { txt; _ } -> Parse_ml.flatten_longident txt
     | Pmod_apply (f, _) | Pmod_apply_unit f | Pmod_constraint (f, _) ->
         local_module_head f
     | _ -> None
@@ -184,23 +179,18 @@ let collect_body ?(note = fun (_ : string) -> ()) e =
     | _ ->
         (match e.pexp_desc with
         | Pexp_ident { txt; _ } -> (
-            match flatten_longident txt with
+            match Parse_ml.flatten_longident txt with
             | Some p ->
-                vrefs :=
-                  (rewrite p, loc_line e.pexp_loc, loc_col e.pexp_loc)
-                  :: !vrefs
+                vrefs := located (rewrite p) e.pexp_loc :: !vrefs
             | None -> ())
         | Pexp_open (od, _) -> (
             match od.popen_expr.pmod_desc with
             | Pmod_ident { txt; _ } -> (
-                match flatten_longident txt with
+                match Parse_ml.flatten_longident txt with
                 | Some p ->
-                    opens :=
-                      (rewrite p, loc_line od.popen_loc, loc_col od.popen_loc)
-                      :: !opens
+                    opens := located (rewrite p) od.popen_loc :: !opens
                 | None -> ())
             | _ -> ())
-        | Pexp_setfield _ | Pexp_setinstvar _ -> mutates := true
         | Pexp_pack me -> uses := List.map rewrite (module_idents me) @ !uses
         | _ -> ());
         Ast_iterator.default_iterator.expr it e
@@ -208,9 +198,9 @@ let collect_body ?(note = fun (_ : string) -> ()) e =
   let typ (it : Ast_iterator.iterator) ty =
     (match ty.ptyp_desc with
     | Ptyp_constr ({ txt; _ }, _) -> (
-        match flatten_longident txt with
+        match Parse_ml.flatten_longident txt with
         | Some p ->
-            trefs := (p, loc_line ty.ptyp_loc, loc_col ty.ptyp_loc) :: !trefs
+            trefs := located p ty.ptyp_loc :: !trefs
         | None -> ())
     | _ -> ());
     Ast_iterator.default_iterator.typ it ty
@@ -222,7 +212,6 @@ let collect_body ?(note = fun (_ : string) -> ()) e =
     b_trefs = List.rev !trefs;
     b_opens = !opens;
     b_uses = List.rev !uses;
-    b_mutates = !mutates;
   }
 
 (* Type references inside type declarations / extensions, for layering. *)
@@ -230,8 +219,8 @@ let collect_type_refs push item =
   let typ (it : Ast_iterator.iterator) ty =
     (match ty.ptyp_desc with
     | Ptyp_constr ({ txt; _ }, _) -> (
-        match flatten_longident txt with
-        | Some p -> push (p, loc_line ty.ptyp_loc, loc_col ty.ptyp_loc)
+        match Parse_ml.flatten_longident txt with
+        | Some p -> push (located p ty.ptyp_loc)
         | None -> ())
     | _ -> ());
     Ast_iterator.default_iterator.typ it ty
@@ -272,18 +261,16 @@ let rec walk_items cs ~lib_siblings (modpath : string list) items =
     List.map (fun p -> cs.cs_root @ p) (all_prefixes modpath)
   in
   let add_def ~names ~loc ~(body : body option) =
-    let line = loc_line loc and col = loc_col loc in
+    let line = Parse_ml.line_of loc and col = Parse_ml.col_of loc in
     let span_end =
       (loc.Location.loc_end.pos_lnum,
        loc.Location.loc_end.pos_cnum - loc.Location.loc_end.pos_bol)
     in
-    let refs, opens, mutates =
+    let refs, opens =
       match body with
       | Some b ->
-          ( b.b_vrefs,
-            List.map (fun (p, _, _) -> p) b.b_opens @ cs.cs_opens,
-            b.b_mutates )
-      | None -> ([], cs.cs_opens, false)
+          (b.b_vrefs, List.map (fun (p, _, _) -> p) b.b_opens @ cs.cs_opens)
+      | None -> ([], cs.cs_opens)
     in
     List.iter
       (fun name ->
@@ -299,7 +286,6 @@ let rec walk_items cs ~lib_siblings (modpath : string list) items =
             d_refs = refs;
             d_opens = opens;
             d_encl = encl_of ();
-            d_mutates = mutates;
           }
           :: cs.cs_defs)
       names
@@ -320,7 +306,8 @@ let rec walk_items cs ~lib_siblings (modpath : string list) items =
               cs.cs_uses <- body.b_uses @ cs.cs_uses;
               let names =
                 match pattern_vars vb.pvb_pat with
-                | [] -> [ Printf.sprintf "__init_%d" (loc_line vb.pvb_loc) ]
+                | [] ->
+                    [ Printf.sprintf "__init_%d" (Parse_ml.line_of vb.pvb_loc) ]
                 | ns -> ns
               in
               add_def ~names ~loc:vb.pvb_loc ~body:(Some body))
@@ -335,20 +322,19 @@ let rec walk_items cs ~lib_siblings (modpath : string list) items =
             @ cs.cs_refs;
           cs.cs_uses <- body.b_uses @ cs.cs_uses;
           add_def
-            ~names:[ Printf.sprintf "__init_%d" (loc_line item.pstr_loc) ]
+            ~names:
+              [ Printf.sprintf "__init_%d" (Parse_ml.line_of item.pstr_loc) ]
             ~loc:item.pstr_loc ~body:(Some body)
       | Pstr_primitive vd ->
           add_def ~names:[ vd.pval_name.txt ] ~loc:vd.pval_loc ~body:None
       | Pstr_open od -> (
           match od.popen_expr.pmod_desc with
           | Pmod_ident { txt; _ } -> (
-              match flatten_longident txt with
+              match Parse_ml.flatten_longident txt with
               | Some p ->
                   cs.cs_opens <- p :: cs.cs_opens;
                   cs.cs_refs <-
-                    mk_fref Open
-                      (p, loc_line od.popen_loc, loc_col od.popen_loc)
-                    :: cs.cs_refs
+                    mk_fref Open (located p od.popen_loc) :: cs.cs_refs
               | None -> ())
           | _ -> ())
       | Pstr_module mb ->
@@ -368,9 +354,7 @@ let rec walk_items cs ~lib_siblings (modpath : string list) items =
                 (fun p ->
                   cs.cs_uses <- p :: cs.cs_uses;
                   cs.cs_refs <-
-                    mk_fref Module
-                      (p, loc_line incl.pincl_loc, loc_col incl.pincl_loc)
-                    :: cs.cs_refs)
+                    mk_fref Module (located p incl.pincl_loc) :: cs.cs_refs)
                 (module_idents incl.pincl_mod))
       | Pstr_type _ | Pstr_typext _ | Pstr_exception _ ->
           collect_type_refs
@@ -383,7 +367,7 @@ and walk_module cs ~lib_siblings modpath name mexpr =
   match mexpr.pmod_desc with
   | Pmod_constraint (m, _) -> walk_module cs ~lib_siblings modpath name m
   | Pmod_ident { txt; _ } -> (
-      match flatten_longident txt with
+      match Parse_ml.flatten_longident txt with
       | Some p ->
           let sibling_exists n =
             List.exists (String.equal n) (Lazy.force lib_siblings)
@@ -392,9 +376,7 @@ and walk_module cs ~lib_siblings modpath name mexpr =
             Option.value (absolutize cs ~sibling_exists p) ~default:p
           in
           cs.cs_aliases <- (name, target) :: cs.cs_aliases;
-          cs.cs_refs <-
-            mk_fref Module (p, loc_line mexpr.pmod_loc, loc_col mexpr.pmod_loc)
-            :: cs.cs_refs
+          cs.cs_refs <- mk_fref Module (located p mexpr.pmod_loc) :: cs.cs_refs
       | None -> ())
   | Pmod_structure items ->
       let saved_opens = cs.cs_opens and saved_aliases = cs.cs_aliases in
@@ -411,15 +393,13 @@ and walk_module cs ~lib_siblings modpath name mexpr =
       List.iter
         (fun p ->
           cs.cs_uses <- p :: cs.cs_uses;
-          cs.cs_refs <-
-            mk_fref Module (p, loc_line mexpr.pmod_loc, loc_col mexpr.pmod_loc)
-            :: cs.cs_refs)
+          cs.cs_refs <- mk_fref Module (located p mexpr.pmod_loc) :: cs.cs_refs)
         (module_idents mexpr);
       let rec functor_head me =
         match me.pmod_desc with
         | Pmod_apply (f, _) | Pmod_apply_unit f | Pmod_constraint (f, _) ->
             functor_head f
-        | Pmod_ident { txt; _ } -> flatten_longident txt
+        | Pmod_ident { txt; _ } -> Parse_ml.flatten_longident txt
         | _ -> None
       in
       (match functor_head mexpr with

@@ -30,7 +30,6 @@ type def = {
       (** raw value-ident paths in the body *)
   d_opens : string list list;  (** opens in scope, innermost first *)
   d_encl : string list list;  (** enclosing module quals, innermost first *)
-  d_mutates : bool;  (** a set-field / set-instance-var occurs in the body *)
 }
 
 type finfo = {
@@ -60,6 +59,9 @@ val wrapper_of_lib : string -> string
 
 (** Inverse of {!wrapper_of_lib}; [None] for non-wrapper names. *)
 val lib_of_wrapper : string -> string option
+
+(** ["lib/switch/lfib.ml"] -> ["switch"]; [None] outside [lib/<dir>/]. *)
+val lib_of_path : string -> string option
 
 (** Build the index.  [files] are findable sources (repo-relative path,
     parsed structure); [aux] files only contribute usage marks. *)

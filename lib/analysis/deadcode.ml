@@ -16,9 +16,6 @@
 
 open Parsetree
 
-let loc_line (loc : Location.t) = loc.loc_start.pos_lnum
-let loc_col (loc : Location.t) = loc.loc_start.pos_cnum - loc.loc_start.pos_bol
-
 (* Exported value paths of a signature, recursing into concrete
    submodule signatures ([module M : sig ... end]).  Opaque module types
    ([module M : SOME_SIG]) cannot be enumerated syntactically and are
@@ -73,8 +70,8 @@ let dead_exports cg ~intfs =
                   in
                   if List.is_empty users then
                     findings :=
-                      Finding.make ~file:mli_file ~line:(loc_line loc)
-                        ~col:(loc_col loc) ~rule:Rules.x_dead_export
+                      Finding.make ~file:mli_file ~line:(Parse_ml.line_of loc)
+                        ~col:(Parse_ml.col_of loc) ~rule:Rules.x_dead_export
                         ~severity:Finding.Warning
                         (Printf.sprintf
                            "exported value %s is never referenced outside \

@@ -1,8 +1,9 @@
 (* Lint driver: walks the source tree, parses every file ONCE into a
    shared cache, then feeds the same Parsetrees to all consumers — the
-   per-file rules, the whole-program protocol checks, and the call-graph passes (effect
-   inference, layering, interface hygiene) — and filters the result
-   through the allowlist.
+   per-file rules (D/A, module-level state), the whole-program protocol
+   checks, and the call-graph passes (effect inference, layering,
+   interface hygiene, hot paths) — and filters the result through the
+   allowlist.
 
    Family scoping: [families] restricts which rule families run (the
    CLI's [--rules D,E,...] flag).  Per-file AST scanning still runs
@@ -178,11 +179,21 @@ let run ?(families = Rules.families) ~root ~allow_path () =
         cache
   in
   let per_file = List.concat_map snd ast_findings in
+  let module_state =
+    if not (sel "S") then []
+    else
+      List.concat_map
+        (fun c ->
+          match c.c_parse with
+          | Ok s -> Mutinv.check ~file:c.c_file s
+          | Error _ -> [])
+        cache
+  in
   let proto = if sel "P" then protocol_findings_cached cache else [] in
   (* Whole-program passes over the shared call graph. *)
   let cg_notes = ref [] in
   let whole_program =
-    if not (sel "E" || sel "L" || sel "X" || sel "S" || sel "H") then []
+    if not (sel "E" || sel "L" || sel "X" || sel "H") then []
     else begin
       let parsed =
         List.filter_map
@@ -237,21 +248,16 @@ let run ?(families = Rules.families) ~root ~allow_path () =
         end
         else []
       in
-      let s =
-        if sel "S" then
-          Shard.check ~spec:Ownership.default ~cg ~structures:parsed ()
-        else []
-      in
       let h =
         if sel "H" then
           Hotpath.check ~spec:Hotspec.default ~cg ~structures:parsed ()
         else []
       in
-      e @ l @ x @ s @ h
+      e @ l @ x @ h
     end
   in
   let all =
-    List.filter selected (per_file @ proto @ whole_program)
+    List.filter selected (per_file @ module_state @ proto @ whole_program)
   in
   let suppressed, gating =
     List.partition
@@ -306,70 +312,6 @@ let report_to_json report =
          ("files_scanned", Json.int report.files_scanned);
          ("clean", Json.Bool (clean report));
        ])
-
-(* --- ownership report ------------------------------------------------------- *)
-
-(* The sharding PR's synchronization worklist (`make lint-ownership`):
-   every scanned module's ownership class next to its declared mutable
-   state, plus the spec's entry points.  A module with mutable state and
-   no class is listed too — that is exactly the gap the sharding PR must
-   close before it can move the module onto a domain. *)
-let ownership_report_json ~root () =
-  let spec = Ownership.default in
-  let files =
-    List.concat_map (fun d -> files_under ~root ~suffix:".ml" d []) scan_dirs
-    |> List.sort String.compare
-  in
-  let opt_str = function None -> Json.Null | Some s -> Json.Str s in
-  let entries =
-    List.map
-      (fun (e : Ownership.entry) ->
-        Json.Obj
-          [
-            ("phase", Json.Str (Ownership.phase_name e.Ownership.e_phase));
-            ("shard", Json.Str e.Ownership.e_shard);
-            ("id", Json.Str e.Ownership.e_id);
-          ])
-      spec.Ownership.entries
-  in
-  let modules =
-    List.filter_map
-      (fun rel ->
-        let c = parse_cached ~root rel in
-        let declared =
-          match c.c_parse with
-          | Ok s -> Mutinv.declared (Mutinv.scan ~file:rel s)
-          | Error _ -> []
-        in
-        let cls = Ownership.class_of spec ~file:rel in
-        (* keep the report focused: skip unclassified modules that hold no
-           mutable state (nothing to own) *)
-        if Option.is_none cls && List.is_empty declared then None
-        else
-          Some
-            (Json.Obj
-               [
-                 ("file", Json.Str rel);
-                 ( "class",
-                   opt_str (Option.map (fun (c, _) -> Ownership.class_name c) cls)
-                 );
-                 ("why", opt_str (Option.bind cls snd));
-                 ( "mutable",
-                   Json.List
-                     (List.map
-                        (fun (m : Mutinv.item) ->
-                          Json.Obj
-                            [
-                              ("line", Json.int m.Mutinv.m_line);
-                              ("kind", Json.Str (Mutinv.kind_name m.Mutinv.m_kind));
-                              ("name", Json.Str m.Mutinv.m_name);
-                            ])
-                        declared) );
-               ]))
-      files
-  in
-  Json.to_string
-    (Json.Obj [ ("entries", Json.List entries); ("modules", Json.List modules) ])
 
 (* --- hotpath report --------------------------------------------------------- *)
 

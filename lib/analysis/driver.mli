@@ -35,12 +35,6 @@ val clean : report -> bool
 
 val report_to_json : report -> string
 
-val ownership_report_json : root:string -> unit -> string
-(** The sharding PR's synchronization worklist: every scanned module's
-    ownership class ({!Ownership.default}) next to its declared mutable
-    state ({!Mutinv}), plus the spec's entry points.  Emitted by
-    [make lint-ownership] into [_build/ownership-report.json]. *)
-
 (** The H00x cross-validation report ([make lint-hotpath],
     [_build/hotpath-report.json]): the static verdict per probe next to
     its committed budget and the measured minor-words-per-op, findings

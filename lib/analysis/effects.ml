@@ -1,7 +1,7 @@
 (* Interprocedural effect inference (E00x).
 
    Every top-level definition gets an effect signature over the lattice
-   {Rng, Clock, Unordered, Mutation, Io} (sets ordered by inclusion).
+   {Rng, Clock, Unordered} (sets ordered by inclusion).
    Signatures are seeded at known primitives — the same classifications
    the per-file D-rules use, so a sort-sanctioned [Hashtbl.fold] is not a
    seed — and propagated transitively over the Callgraph, so a
@@ -15,28 +15,23 @@
    propagate to callers — going through them is precisely the endorsed
    route — while a direct seed anywhere else leaks to every caller.
 
-   Only Rng, Clock and Unordered gate (rules E001/E002/E003, mirroring
-   D002/D003/D001).  Mutation and Io are inferred and reported through
-   [signature_of] for tooling, but an event-driven simulator mutates
-   state and the experiment harnesses print; flagging those would be
-   noise. *)
+   Each effect gates through its own rule (E001/E002/E003, mirroring
+   D002/D003/D001). *)
 
-type eff = Rng | Clock | Unordered | Mutation | Io
+type eff = Rng | Clock | Unordered
 
 let eff_name = function
   | Rng -> "rng"
   | Clock -> "clock"
   | Unordered -> "unordered-iteration"
-  | Mutation -> "mutation"
-  | Io -> "io"
 
-let all_effects = [ Rng; Clock; Unordered; Mutation; Io ]
+let all_effects = [ Rng; Clock; Unordered ]
 
 module ESet = struct
   type t = int
 
   let empty = 0
-  let bit = function Rng -> 1 | Clock -> 2 | Unordered -> 4 | Mutation -> 8 | Io -> 16
+  let bit = function Rng -> 1 | Clock -> 2 | Unordered -> 4
   let add e s = s lor bit e
   let mem e s = s land bit e <> 0
   let diff a b = a land lnot b
@@ -66,50 +61,7 @@ let barrier_mask file =
 
 (* --- seeds ----------------------------------------------------------------- *)
 
-let strip_stdlib = function "Stdlib" :: rest -> rest | p -> p
-
-let mutation_modules = [ "Queue"; "Stack"; "Buffer"; "Bytes"; "Atomic" ]
-
-let hashtbl_mutators =
-  [ "add"; "replace"; "remove"; "reset"; "clear"; "filter_map_inplace" ]
-
-let array_mutators = [ "set"; "unsafe_set"; "fill"; "blit"; "sort" ]
-
-let is_mutation_path path =
-  match strip_stdlib path with
-  | [ op ] -> List.exists (String.equal op) [ ":="; "incr"; "decr" ]
-  | m :: rest -> (
-      List.exists (String.equal m) mutation_modules
-      || match (m, List.rev rest) with
-         | "Hashtbl", op :: _ | "Tbl", op :: _ ->
-             List.exists (String.equal op) hashtbl_mutators
-         | "Array", op :: _ | "Float_array", op :: _ ->
-             List.exists (String.equal op) array_mutators
-         | _ -> false)
-  | [] -> false
-
-let io_prefixed =
-  [ "print_"; "prerr_"; "output_"; "open_in"; "open_out" ]
-
-let io_bare = [ "read_line"; "read_int"; "flush"; "close_in"; "close_out" ]
-
-let io_modules = [ "Out_channel"; "In_channel" ]
-
-let is_io_path path =
-  match strip_stdlib path with
-  | [ f ] ->
-      List.exists (fun p -> Callgraph.has_prefix ~prefix:p f) io_prefixed
-      || List.exists (String.equal f) io_bare
-  | m :: rest -> (
-      List.exists (String.equal m) io_modules
-      || match (m, List.rev rest) with
-         | ("Printf" | "Format"), op :: _ ->
-             List.exists (String.equal op) [ "printf"; "eprintf" ]
-         | "Sys", op :: _ -> String.equal op "command"
-         | _ -> false)
-  | [] -> false
-
-(* Gating seeds come from the per-file AST findings (pre-allowlist), so
+(* Seeds come from the per-file AST findings (pre-allowlist), so
    the effect pass agrees exactly with the D-rules on what counts as a
    hazard — including the sort-sink sanctioning. *)
 let eff_of_rule rule =
@@ -122,8 +74,6 @@ let seed_label = function
   | Rng -> "a raw Random draw"
   | Clock -> "a host clock read"
   | Unordered -> "an unordered Hashtbl traversal"
-  | Mutation -> "a state mutation"
-  | Io -> "channel I/O"
 
 (* --- inference ------------------------------------------------------------- *)
 
@@ -132,31 +82,6 @@ let prov_key id e = id ^ "/" ^ eff_name e
 let infer cg ~ast_findings =
   let sigs = Hashtbl.create 512 in
   let prov = Hashtbl.create 512 in
-  (* direct seeds *)
-  List.iter
-    (fun fi ->
-      if not fi.Callgraph.f_aux then
-        List.iter
-          (fun (d : Callgraph.def) ->
-            let direct = ref ESet.empty in
-            let seed e =
-              if not (ESet.mem e !direct) then begin
-                direct := ESet.add e !direct;
-                Hashtbl.replace prov
-                  (prov_key d.Callgraph.d_id e)
-                  (Seed (seed_label e))
-              end
-            in
-            if d.Callgraph.d_mutates then seed Mutation;
-            List.iter
-              (fun (raw, _, _) ->
-                if is_mutation_path raw then seed Mutation;
-                if is_io_path raw then seed Io)
-              d.Callgraph.d_refs;
-            Hashtbl.replace sigs d.Callgraph.d_id
-              { effects = !direct; direct = !direct })
-          fi.Callgraph.f_defs)
-    (Callgraph.files cg);
   List.iter
     (fun (file, findings) ->
       List.iter
@@ -241,17 +166,15 @@ let rec chain t id e ~depth =
     | None -> []
 
 let finding_rule = function
-  | Rng -> Some (Rules.e_indirect_random, Finding.Error)
-  | Clock -> Some (Rules.e_indirect_clock, Finding.Error)
-  | Unordered -> Some (Rules.e_indirect_order, Finding.Warning)
-  | Mutation | Io -> None
+  | Rng -> (Rules.e_indirect_random, Finding.Error)
+  | Clock -> (Rules.e_indirect_clock, Finding.Error)
+  | Unordered -> (Rules.e_indirect_order, Finding.Warning)
 
 let advice = function
   | Rng -> "draw from a Lazyctrl_util.Prng stream instead"
   | Clock -> "simulated code must stay on Engine.now / Lazyctrl_sim.Time"
   | Unordered ->
       "sort before observing, or go through Lazyctrl_util.Det at the source"
-  | Mutation | Io -> ""
 
 let findings t =
   let out = ref [] in
@@ -267,25 +190,21 @@ let findings t =
                 let blocked = barrier_mask d.Callgraph.d_file in
                 List.iter
                   (fun e ->
-                    match finding_rule e with
-                    | None -> ()
-                    | Some (rule, severity) ->
-                        if ESet.mem e inherited && not (ESet.mem e blocked)
-                        then
-                          let path =
-                            String.concat " -> "
-                              (d.Callgraph.d_id
-                               :: chain t d.Callgraph.d_id e ~depth:0)
-                          in
-                          out :=
-                            Finding.make ~file:d.Callgraph.d_file
-                              ~line:d.Callgraph.d_line ~col:d.Callgraph.d_col
-                              ~rule ~severity
-                              (Printf.sprintf
-                                 "indirectly reaches %s through the call \
-                                  graph: %s; %s"
-                                 (seed_label e) path (advice e))
-                            :: !out)
+                    if ESet.mem e inherited && not (ESet.mem e blocked) then
+                      let rule, severity = finding_rule e in
+                      let id = d.Callgraph.d_id in
+                      let path =
+                        String.concat " -> " (id :: chain t id e ~depth:0)
+                      in
+                      out :=
+                        Finding.make ~file:d.Callgraph.d_file
+                          ~line:d.Callgraph.d_line ~col:d.Callgraph.d_col ~rule
+                          ~severity
+                          (Printf.sprintf
+                             "indirectly reaches %s through the call graph: \
+                              %s; %s"
+                             (seed_label e) path (advice e))
+                        :: !out)
                   all_effects)
           fi.Callgraph.f_defs)
     (Callgraph.files t.cg);

@@ -6,22 +6,20 @@
     transitively over the {!Callgraph}, so a helper that reads
     [Sys.time] taints every caller that can reach it.  Sanctuary modules
     (prng, sim time, Det) are barriers: their effects do not propagate —
-    going through them is the endorsed route.  Only Rng, Clock and
-    Unordered gate; Mutation and Io are inferred for tooling only. *)
+    going through them is the endorsed route. *)
 
-type eff = Rng | Clock | Unordered | Mutation | Io
+type eff = Rng | Clock | Unordered
 
 type table
 
 (** [infer cg ~ast_findings] seeds from the pre-allowlist per-file AST
-    findings (keyed by file) plus own mutation/IO classifiers, then
-    propagates to a fixpoint. *)
+    findings (keyed by file), then propagates to a fixpoint. *)
 val infer :
   Callgraph.t -> ast_findings:(string * Finding.t list) list -> table
 
-(** Effect names in a definition's inferred signature, for tooling. *)
+(** Effect names in a definition's inferred signature. *)
 val signature_of : table -> string -> string list
 
-(** Gating findings: inherited (not directly seeded) Rng/Clock/Unordered
-    effects outside barrier files, each with its witness chain. *)
+(** Gating findings: inherited (not directly seeded) effects outside
+    barrier files, each with its witness chain. *)
 val findings : table -> Finding.t list

@@ -52,11 +52,6 @@ type row = {
 
 (* --- budget file ----------------------------------------------------------- *)
 
-let split_ws s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun w -> not (String.equal w ""))
-
 (* Line format: [<probe> <minor-words-per-op> [-- note]], '#' comments.
    Returns the entries plus parse errors as messages with line numbers. *)
 let parse content =
@@ -77,10 +72,10 @@ let parse content =
       if String.equal line "" then ()
       else if Char.equal line.[0] '#' then ()
       else
-        match split_ws line with
+        match Rules.split_ws line with
         | [ probe; words ] -> (
             match float_of_string_opt words with
-            | Some w when w >= 0. ->
+            | Some w when Float.is_finite w && w >= 0. ->
                 entries := { e_probe = probe; e_words = w; e_line = lineno } :: !entries
             | _ ->
                 errs :=

@@ -1,6 +1,6 @@
 (* Hot-path allocation-discipline checks (H00x): the code against the
-   Hotspec, in the S00x mold — whole-program, over the same Callgraph the
-   E/L/X/S passes use.
+   Hotspec — whole-program, over the same Callgraph the E/L/X passes
+   use.
 
    H000 — the spec itself is malformed: validation defects, a hot entry
    or cold boundary that no longer resolves to a definition, a cold
@@ -9,7 +9,7 @@
 
    H001 — an allocation site (Allocsites) inside a definition reachable
    from a hot entry without an intervening cold boundary.  The finding
-   carries a witness call chain from the entry, like E001/S001.
+   carries a witness call chain from the entry, like E001.
 
    H002 — polymorphic compare/hash or a call through a record field /
    array element on a hot path: dynamic dispatch the inliner cannot see

@@ -6,7 +6,7 @@
     an intervening cold boundary, H002 polymorphic primitives or
     first-class-function indirection on a hot path, H003 exception-based
     control flow in the hot region.  Findings carry witness call chains
-    in the E001/S001 style.  {!Hotbudget} cross-validates the per-probe
+    in the E001 style.  {!Hotbudget} cross-validates the per-probe
     static tally against measured minor-words-per-op. *)
 
 type probe_status = {

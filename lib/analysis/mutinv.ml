@@ -1,123 +1,73 @@
-(* Mutable-state inventory (the raw material of the S00x rules).
+(* Module-level mutable state (S001-module-state).
 
-   A purely syntactic pass over one file's Parsetree that records every
-   site where mutable state is declared or written: [mutable] record
-   fields, [ref] cells, hash tables, flat arrays/bytes, the store
-   operations over them, and — worst for sharding — top-level bindings
-   that hold any of these (process-global state no domain can own).
+   Network builds every engine, switch, controller, host model and PRNG
+   stream once per logical shard, so instance state stays on its shard
+   by construction (the [post] seam raises [Conservative_violation] on
+   any undercut crossing, and the 1-vs-N-domain fingerprint property
+   pins the result).  What shards can still share is process-global
+   state: a module-level binding is evaluated once per process, and every
+   domain running the module's code reads and writes the same value.
 
-   The inventory feeds two consumers: the Shard pass (which joins it
-   with call-graph reachability to decide what two shards can both
-   touch) and the ownership report (`make lint-ownership`), which is the
-   sharding PR's synchronization worklist. *)
+   This per-file pass reports each such binding in the code Network
+   instantiates per shard: [lib/core] and the libraries the layering
+   spec lets [core] reference.  Harness layers (experiments, perf,
+   chaos, the lint itself, bin/bench/examples) run outside the sharded
+   engine and stay out of scope. *)
 
-open Asttypes
 open Parsetree
-
-type kind =
-  | Mutable_field  (* [mutable f : t] in a record declaration *)
-  | Ref_cell  (* [ref e] creation *)
-  | Hash_table  (* [Hashtbl.create] / keyed [Tbl.create] *)
-  | Flat_array  (* [Array.make]/[init], [Bytes.create]/[make] *)
-  | Store  (* a write: [a.(i) <- v], [Bytes.set], [:=], [incr] ... *)
-  | Toplevel_state  (* a module-level binding holding mutable state *)
-
-let kind_name = function
-  | Mutable_field -> "mutable-field"
-  | Ref_cell -> "ref"
-  | Hash_table -> "hashtbl"
-  | Flat_array -> "array"
-  | Store -> "store"
-  | Toplevel_state -> "toplevel-state"
-
-type item = {
-  m_file : string;
-  m_line : int;
-  m_col : int;
-  m_kind : kind;
-  m_name : string;  (* field/binding name, or the operation's spelling *)
-}
-
-let line_of (loc : Location.t) = loc.loc_start.pos_lnum
-let col_of (loc : Location.t) = loc.loc_start.pos_cnum - loc.loc_start.pos_bol
-
-let flatten_longident lid = try Some (Longident.flatten lid) with _ -> None
 
 let strip_stdlib = function "Stdlib" :: rest -> rest | p -> p
 
-(* --- path classifiers ------------------------------------------------------ *)
-
-let table_creators = [ "create"; "of_seq" ]
-
-let is_table_create path =
-  match strip_stdlib path with
-  | m :: rest -> (
-      (String.equal m "Hashtbl" || String.equal m "Tbl"
-      || match List.rev path with _ :: "Tbl" :: _ -> true | _ -> false)
-      && match List.rev rest with
-         | op :: _ -> List.exists (String.equal op) table_creators
-         | [] -> false)
-  | [] -> false
-
-let array_creators = [ "make"; "create"; "init"; "make_matrix"; "copy" ]
-
-let is_array_create path =
-  match strip_stdlib path with
-  | [ m; op ] ->
+(* Does applying [path] build fresh mutable state?  [ref], the stdlib's
+   table/array/bytes builders, and the repo's constructor convention:
+   [M.create] returns a new stateful instance ([Prng.create],
+   [Intmap.create], [Hashtbl.create], a keyed [Tbl.create], ...). *)
+let is_state_constructor path =
+  match List.rev (strip_stdlib path) with
+  | [ "ref" ] | "create" :: _ -> true
+  | op :: m :: _ ->
       List.exists (String.equal m) [ "Array"; "Bytes"; "Float_array" ]
-      && List.exists (String.equal op) array_creators
+      && List.exists (String.equal op) [ "make"; "init"; "make_matrix"; "copy" ]
+      || (String.equal m "Hashtbl" || String.equal m "Tbl")
+         && String.equal op "of_seq"
   | _ -> false
 
-let is_ref_create path =
-  match strip_stdlib path with [ "ref" ] -> true | _ -> false
-
-(* Writes: the operators the parser leaves as plain applications (array
-   and bytes/string index assignment desugar to [.set]), plus the ref
-   mutators.  [Pexp_setfield] is caught structurally. *)
-let store_ops = [ "set"; "unsafe_set"; "fill"; "blit" ]
-
-let store_modules =
-  [ "Array"; "Bytes"; "String"; "Float_array"; "Hashtbl"; "Tbl" ]
-
-let table_mutators =
-  [ "add"; "replace"; "remove"; "reset"; "clear"; "filter_map_inplace" ]
-
-let is_store_path path =
-  match strip_stdlib path with
-  | [ op ] -> List.exists (String.equal op) [ ":="; "incr"; "decr" ]
-  | m :: rest -> (
-      (List.exists (String.equal m) store_modules
-      || match List.rev path with _ :: "Tbl" :: _ -> true | _ -> false)
-      && match List.rev rest with
-         | op :: _ ->
-             List.exists (String.equal op) store_ops
-             || List.exists (String.equal op) table_mutators
-         | [] -> false)
-  | [] -> false
-
-(* Does this expression *directly* evaluate to mutable state?  Used to
-   classify top-level bindings; descends through the containers a value
-   is built from so [let t = { tbl = Hashtbl.create 7 }] still counts. *)
+(* Does this expression evaluate to mutable state?  Descends through the
+   containers a value is built from, so [let t = { tbl = Hashtbl.create 7 }]
+   counts, and through local lets, so a counter hidden behind a closure
+   ([let next = let n = ref 0 in fun () -> incr n; !n]) counts too.  A
+   function body is never entered: a [ref] made per call is local. *)
 let rec creates_mutable e =
   match e.pexp_desc with
   | Pexp_apply (fn, args) -> (
       match fn.pexp_desc with
       | Pexp_ident { txt; _ } -> (
-          match flatten_longident txt with
+          match Parse_ml.flatten_longident txt with
           | Some p ->
-              is_ref_create p || is_table_create p || is_array_create p
+              is_state_constructor p
               || List.exists (fun (_, a) -> creates_mutable a) args
           | None -> false)
       | _ -> false)
   | Pexp_record (fields, _) ->
       List.exists (fun (_, v) -> creates_mutable v) fields
   | Pexp_tuple es -> List.exists creates_mutable es
+  | Pexp_construct (_, Some e) -> creates_mutable e
   | Pexp_array _ -> true
   | Pexp_constraint (e, _) | Pexp_open (_, e) -> creates_mutable e
-  | Pexp_let (_, _, body) -> creates_mutable body
+  | Pexp_let (_, vbs, body) ->
+      List.exists (fun vb -> creates_mutable vb.pvb_expr) vbs
+      || creates_mutable body
   | _ -> false
 
-(* --- the scan -------------------------------------------------------------- *)
+(* The code Network instantiates per logical shard. *)
+let in_scope file =
+  match Callgraph.lib_of_path file with
+  | Some "core" -> true
+  | Some d -> (
+      match List.assoc_opt "core" Layering.allowed_deps with
+      | Some deps -> List.exists (String.equal d) deps
+      | None -> false)
+  | None -> false
 
 let binding_name pat =
   match pat.ppat_desc with
@@ -125,107 +75,34 @@ let binding_name pat =
   | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) -> txt
   | _ -> "_"
 
-let scan ~file structure =
-  let items = ref [] in
-  let add ~loc ~kind ~name =
-    items :=
-      {
-        m_file = file;
-        m_line = line_of loc;
-        m_col = col_of loc;
-        m_kind = kind;
-        m_name = name;
-      }
-      :: !items
-  in
-  (* mutable record fields + expression-level sites, everywhere *)
-  let type_declaration (it : Ast_iterator.iterator) td =
-    (match td.ptype_kind with
-    | Ptype_record labels ->
+let check ~file structure =
+  let out = ref [] in
+  let rec items structure = List.iter item structure
+  and item it =
+    match it.pstr_desc with
+    | Pstr_value (_, vbs) ->
         List.iter
-          (fun ld ->
-            match ld.pld_mutable with
-            | Mutable ->
-                add ~loc:ld.pld_loc ~kind:Mutable_field
-                  ~name:(td.ptype_name.txt ^ "." ^ ld.pld_name.txt)
-            | Immutable -> ())
-          labels
-    | _ -> ());
-    Ast_iterator.default_iterator.type_declaration it td
+          (fun vb ->
+            if creates_mutable vb.pvb_expr then
+              out :=
+                Finding.make ~file ~line:(Parse_ml.line_of vb.pvb_loc)
+                  ~col:(Parse_ml.col_of vb.pvb_loc) ~rule:Rules.s_module_state
+                  ~severity:Finding.Error
+                  (Printf.sprintf
+                     "module-level binding '%s' creates mutable state once \
+                      per process, so every shard running this code shares \
+                      it; move it into the instance Network builds per \
+                      shard, or allowlist it with why no shard writes it"
+                     (binding_name vb.pvb_pat))
+                :: !out)
+          vbs
+    | Pstr_module { pmb_expr; _ } -> module_expr pmb_expr
+    | _ -> ()
+  and module_expr me =
+    match me.pmod_desc with
+    | Pmod_structure s -> items s
+    | Pmod_constraint (me, _) -> module_expr me
+    | _ -> ()
   in
-  let expr (it : Ast_iterator.iterator) e =
-    (match e.pexp_desc with
-    | Pexp_apply (fn, _) -> (
-        match fn.pexp_desc with
-        | Pexp_ident { txt; _ } -> (
-            match flatten_longident txt with
-            | Some p ->
-                let name = String.concat "." p in
-                if is_ref_create p then
-                  add ~loc:fn.pexp_loc ~kind:Ref_cell ~name
-                else if is_table_create p then
-                  add ~loc:fn.pexp_loc ~kind:Hash_table ~name
-                else if is_array_create p then
-                  add ~loc:fn.pexp_loc ~kind:Flat_array ~name
-                else if is_store_path p then
-                  add ~loc:fn.pexp_loc ~kind:Store ~name
-            | None -> ())
-        | _ -> ())
-    | Pexp_setfield (_, { txt; _ }, _) ->
-        let name =
-          match flatten_longident txt with
-          | Some p -> String.concat "." p
-          | None -> "<field>"
-        in
-        add ~loc:e.pexp_loc ~kind:Store ~name:("<- " ^ name)
-    | Pexp_setinstvar ({ txt; _ }, _) ->
-        add ~loc:e.pexp_loc ~kind:Store ~name:("<- " ^ txt)
-    | _ -> ());
-    Ast_iterator.default_iterator.expr it e
-  in
-  let iterator =
-    { Ast_iterator.default_iterator with type_declaration; expr }
-  in
-  iterator.structure iterator structure;
-  (* top-level mutable bindings: walk the structure items directly so
-     only module-level lets qualify (a let inside a function body is a
-     local, not process-global state) *)
-  let rec toplevel items_ =
-    List.iter
-      (fun item ->
-        match item.pstr_desc with
-        | Pstr_value (_, vbs) ->
-            List.iter
-              (fun vb ->
-                if creates_mutable vb.pvb_expr then
-                  add ~loc:vb.pvb_loc ~kind:Toplevel_state
-                    ~name:(binding_name vb.pvb_pat))
-              vbs
-        | Pstr_module
-            { pmb_expr = { pmod_desc = Pmod_structure sub; _ }; _ } ->
-            toplevel sub
-        | _ -> ())
-      items_
-  in
-  toplevel structure;
-  List.sort
-    (fun a b ->
-      match Int.compare a.m_line b.m_line with
-      | 0 -> (
-          match Int.compare a.m_col b.m_col with
-          | 0 -> String.compare (kind_name a.m_kind) (kind_name b.m_kind)
-          | c -> c)
-      | c -> c)
-    !items
-
-(* Declared mutable state only (no write sites): what the ownership
-   report lists per module, and what S001 requires a module to have
-   before reachability can make it a finding. *)
-let declared items =
-  List.filter
-    (fun i ->
-      match i.m_kind with
-      | Mutable_field | Ref_cell | Hash_table | Flat_array | Toplevel_state ->
-          true
-      | Store -> false)
-    items
+  if in_scope file then items structure;
+  List.rev !out

@@ -1,34 +1,13 @@
-(** Mutable-state inventory: every site in a file where mutable state is
-    declared ([mutable] fields, [ref] cells, hash tables, flat
-    arrays/bytes, module-level bindings holding any of these) or written
-    (store operations, [:=], [Pexp_setfield]).  Purely syntactic; feeds
-    the {!Shard} pass and the `make lint-ownership` report. *)
+(** Module-level mutable state (S001-module-state): a module-level
+    binding, nested [module ... = struct] included, whose right-hand
+    side creates mutable state — [ref], a hash table, a flat array or
+    bytes, an array literal, any [create] application (the repo's
+    constructor convention), or a record, tuple, constructor or local
+    [let] holding one — is shared by every shard of the process.  Purely
+    syntactic and per file. *)
 
-type kind =
-  | Mutable_field
-  | Ref_cell
-  | Hash_table
-  | Flat_array
-  | Store
-  | Toplevel_state
-
-val kind_name : kind -> string
-
-type item = {
-  m_file : string;
-  m_line : int;
-  m_col : int;
-  m_kind : kind;
-  m_name : string;
-}
-
-val is_store_path : string list -> bool
-(** Is this applied path a write ([Array.set], [Hashtbl.replace], [:=],
-    [incr], ...)?  {!Shard} uses it to widen {!Callgraph}'s
-    [d_mutates] (set-field only) to store operations. *)
-
-val scan : file:string -> Parsetree.structure -> item list
-(** All sites, sorted by position. *)
-
-val declared : item list -> item list
-(** Declaration sites only (write sites filtered out). *)
+val check : file:string -> Parsetree.structure -> Finding.t list
+(** One finding per mutable module-level binding, in source order, if
+    [file] is code that Network instantiates per logical shard:
+    [lib/core], or a library {!Layering.allowed_deps} lets [core]
+    reference.  Empty for any other file. *)

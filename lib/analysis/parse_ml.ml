@@ -1,5 +1,6 @@
-(* Parse .ml/.mli sources into Parsetrees via compiler-libs.  Parse errors
-   are reported back so the driver can fall back to token scanning. *)
+(* Parse .ml/.mli sources into Parsetrees via compiler-libs, plus the
+   location and identifier helpers every pass shares.  Parse errors are
+   reported back so the driver can record them once. *)
 
 let error_message exn =
   match Location.error_of_exn exn with
@@ -22,3 +23,5 @@ let parse_intf ~file ~src =
 
 let line_of (loc : Location.t) = loc.loc_start.pos_lnum
 let col_of (loc : Location.t) = loc.loc_start.pos_cnum - loc.loc_start.pos_bol
+
+let flatten_longident lid = try Some (Longident.flatten lid) with _ -> None

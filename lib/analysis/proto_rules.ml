@@ -64,10 +64,8 @@ let pp_obs (u, d, c, p, m) =
      master_silent=%b}"
     u d c p m
 
-let flatten_longident lid = try Some (Longident.flatten lid) with _ -> None
-
 let last_component lid =
-  match flatten_longident lid with
+  match Parse_ml.flatten_longident lid with
   | Some path when not (List.is_empty path) ->
       Some (List.nth path (List.length path - 1))
   | _ -> None

@@ -13,8 +13,9 @@
      paper's control-plane separation (switch never leans on controller
      internals; the controller drives switches only through Proto).
    - X00x: interface hygiene — dead exports and missing .mli files.
-   - S00x: domain safety — the code against the shared-state ownership
-     spec (Ownership/Shard), gating the multicore shard refactor.
+   - S001: module-level state — process-global mutable state in the code
+     Network instantiates per logical shard (Mutinv), the one thing
+     per-shard construction cannot keep apart.
    - H00x: hot-path allocation discipline — the code against the declared
      hot-path spec (Hotspec/Hotpath), cross-validated against measured
      minor-words-per-op budgets (Hotbudget). *)
@@ -35,10 +36,7 @@ let l_layering = "L001-layering"
 let l_lazy_separation = "L002-lazy-separation"
 let x_dead_export = "X001-dead-export"
 let x_missing_mli = "X002-missing-mli"
-let s_spec = "S000-ownership-spec"
-let s_shared_mutable = "S001-shared-mutable"
-let s_closure_escape = "S002-closure-escape"
-let s_init_write = "S003-init-write"
+let s_module_state = "S001-module-state"
 let h_spec = "H000-hotpath-spec"
 let h_hot_alloc = "H001-hot-alloc"
 let h_hot_indirect = "H002-hot-indirect"
@@ -64,10 +62,7 @@ let all =
     l_lazy_separation;
     x_dead_export;
     x_missing_mli;
-    s_spec;
-    s_shared_mutable;
-    s_closure_escape;
-    s_init_write;
+    s_module_state;
     h_spec;
     h_hot_alloc;
     h_hot_indirect;
@@ -90,6 +85,12 @@ let family_of rule =
 let has_suffix ~suffix s =
   let ls = String.length s and lx = String.length suffix in
   ls >= lx && String.equal (String.sub s (ls - lx) lx) suffix
+
+(* Whitespace-separated words of a line of the allowlist or budget file. *)
+let split_ws s =
+  String.split_on_char ' ' s
+  |> List.concat_map (String.split_on_char '\t')
+  |> List.filter (fun w -> not (String.equal w ""))
 
 (* The one module allowed to draw raw randomness: everything else must go
    through the seeded, splittable PRNG. *)

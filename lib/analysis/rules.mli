@@ -2,7 +2,7 @@
 
     Families: D00x determinism, A00x abstraction safety, P00x protocol
     invariants, E00x interprocedural effects, L00x layering, X00x
-    interface hygiene, S00x domain safety, H00x hot-path allocation
+    interface hygiene, S001 module-level state, H00x hot-path allocation
     discipline.  See README "Static analysis" for the rule table. *)
 
 val d_hashtbl_order : string
@@ -21,10 +21,7 @@ val l_layering : string
 val l_lazy_separation : string
 val x_dead_export : string
 val x_missing_mli : string
-val s_spec : string
-val s_shared_mutable : string
-val s_closure_escape : string
-val s_init_write : string
+val s_module_state : string
 val h_spec : string
 val h_hot_alloc : string
 val h_hot_indirect : string
@@ -46,6 +43,9 @@ val is_family : string -> bool
 val family_of : string -> string
 
 val has_suffix : suffix:string -> string -> bool
+
+(** Whitespace-separated words of a line (spaces and tabs). *)
+val split_ws : string -> string list
 
 (** The one module allowed to draw raw randomness (the seeded PRNG). *)
 val random_sanctuary : string -> bool

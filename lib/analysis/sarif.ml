@@ -156,41 +156,14 @@ let catalog =
          and layering passes check against.";
     };
     {
-      m_id = Rules.s_spec;
-      m_name = "OwnershipSpecDefect";
-      m_short = "Ownership spec is malformed or has drifted from the code";
-      m_help =
-        "Fix lib/analysis/ownership.ml: every crossing needs a written \
-         justification and every entry point must resolve to a \
-         definition.";
-    };
-    {
-      m_id = Rules.s_shared_mutable;
-      m_name = "SharedMutableState";
+      m_id = Rules.s_module_state;
+      m_name = "ModuleLevelState";
       m_short =
-        "Shard-local mutable state reachable from two or more shards";
+        "Module-level mutable state in code every logical shard runs";
       m_help =
-        "Give each domain its own instance, or reclassify the module as \
-         shard-crossing with the synchronization documented.";
-    };
-    {
-      m_id = Rules.s_closure_escape;
-      m_name = "ClosureEscape";
-      m_short =
-        "Mutating closure escapes onto the event queue or a channel \
-         callback";
-      m_help =
-        "The closure outlives its creator; under sharding it must stay \
-         pinned to the domain owning the state it captures.";
-    };
-    {
-      m_id = Rules.s_init_write;
-      m_name = "InitOnlyWrite";
-      m_short =
-        "Write to read-only-after-init state reachable from the run loop";
-      m_help =
-        "Mutate during setup only, or the module's ownership class is \
-         wrong.";
+        "A module-level binding is created once per process and shared \
+         by every domain; make it a field of the instance Network builds \
+         per shard.";
     };
     {
       m_id = Rules.h_spec;

@@ -371,6 +371,19 @@ let hotbudget_tests =
         check Alcotest.int "two malformed lines" 2 (List.length errs);
         check Alcotest.bool "epsilon is below one boxed option" true
           (Hotbudget.epsilon < 2.0));
+    Alcotest.test_case "non-finite budgets rejected" `Quick (fun () ->
+        (* float_of_string_opt accepts these; an infinite budget would
+           silently switch H005 off for its probe. *)
+        let entries, errs =
+          Hotbudget.parse "hp-a inf\nhp-b infinity\nhp-c 1e400\nhp-d nan\n"
+        in
+        check Alcotest.int "no entries" 0 (List.length entries);
+        check Alcotest.int "four malformed lines" 4 (List.length errs);
+        check Alcotest.bool "the non-negative-number message" true
+          (List.for_all
+             (fun msg ->
+               has_substring msg "not a non-negative minor-words-per-op number")
+             errs));
     Alcotest.test_case
       "calibration gap: statically clean but measured allocating" `Quick
       (fun () ->
@@ -482,7 +495,7 @@ let repo_gate_tests =
   [
     Alcotest.test_case "the repo has zero unallowlisted H findings" `Quick
       (fun () ->
-        (* The acceptance gate, mirroring the S00x one: every H finding
+        (* The acceptance gate, mirroring the S one: every H finding
            in the shipped tree is fixed or carries a justification. *)
         if repo_available () then
           let report =
@@ -665,7 +678,7 @@ let family_rules =
     ("E", "E001-indirect-random");
     ("L", "L001-layering");
     ("X", "X001-dead-export");
-    ("S", "S001-shared-mutable");
+    ("S", "S001-module-state");
     ("H", "H001-hot-alloc");
   ]
 

@@ -246,6 +246,47 @@ let p002_tests =
 
 (* --- allowlist ------------------------------------------------------------- *)
 
+(* cwd is test/ under `dune runtest` (the file is staged one level up)
+   but the project root under a bare `dune exec`. *)
+let read_repo_file name =
+  let path =
+    let staged = Filename.concat ".." name in
+    if Sys.file_exists staged then staged else name
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
+(* Byte substitutions, deletions and insertions of the committed
+   allowlist and hot-path budget, biased towards the characters their
+   line formats give meaning to; both parsers must report, never raise. *)
+let mutated_config_files_never_raise =
+  let edit =
+    QCheck2.Gen.(
+      triple (int_bound 2) nat
+        (oneof
+           [ char; oneofl [ ' '; '\t'; '\n'; '#'; '-'; '.'; 'e'; '0'; 'i' ] ]))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"qcheck: mutated allowlist and budget files never raise"
+       QCheck2.Gen.(pair bool (list_size (int_range 1 8) edit))
+       (fun (allowlist, edits) ->
+         let apply s (kind, pos, c) =
+           let n = String.length s in
+           let i = if n = 0 then 0 else pos mod n in
+           match kind with
+           | 0 when n > 0 -> String.mapi (fun j x -> if j = i then c else x) s
+           | 1 when n > 0 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+           | _ -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+         in
+         let original =
+           read_repo_file
+             (if allowlist then ".lazyctrl-lint-allow" else "HOTPATH_budget")
+         in
+         let doc = List.fold_left apply original edits in
+         if allowlist then ignore (Allowlist.parse_string ~file:"allow" doc)
+         else ignore (Hotbudget.parse doc);
+         true))
+
 let allowlist_tests =
   [
     Alcotest.test_case "entry suppresses a matching finding" `Quick (fun () ->
@@ -287,6 +328,7 @@ let allowlist_tests =
         Alcotest.(check (list string)) "no errors" [] (rules_of errs);
         Alcotest.(check int) "no entries" 0
           (List.length (Allowlist.unused allow)));
+    mutated_config_files_never_raise;
   ]
 
 (* --- call graph ------------------------------------------------------------ *)
@@ -703,25 +745,6 @@ let json_report_tests =
                 | _ -> Alcotest.fail "one location")
             | _ -> Alcotest.fail "one result")
         | _ -> Alcotest.fail "one run");
-    Alcotest.test_case "ownership report parses back" `Quick (fun () ->
-        with_tmp_tree (fun root ->
-            write_file
-              (Filename.concat root "lib/fixlib/counter.ml")
-              "let hits = ref 0\nlet bump () = incr hits";
-            let j =
-              parse_report "ownership report"
-                (Driver.ownership_report_json ~root ())
-            in
-            Alcotest.(check int) "one entry per spec entry point"
-              (List.length Ownership.default.Ownership.entries)
-              (List.length (list_at j [ "entries" ]));
-            let files =
-              List.filter_map
-                (fun m -> Option.bind (Json.member "file" m) Json.to_str)
-                (list_at j [ "modules" ])
-            in
-            Alcotest.(check bool) "mutable module listed" true
-              (List.mem "lib/fixlib/counter.ml" files)));
     Alcotest.test_case "hotpath report parses back" `Quick (fun () ->
         with_tmp_tree (fun root ->
             let r =
@@ -741,280 +764,105 @@ let json_report_tests =
               (List.length (list_at j [ "probes" ]))));
   ]
 
-(* --- S00x: domain safety ----------------------------------------------------- *)
+(* --- S001: module-level state ------------------------------------------- *)
 
-let has_substring hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  let rec go i =
-    i + ln <= lh
-    && (String.equal (String.sub hay i ln) needle || go (i + 1))
-  in
-  go 0
-
-let srule path cls why = { Ownership.path; cls; why }
-let sentry e_id e_shard e_phase = { Ownership.e_id; e_shard; e_phase }
-
-let shard_check ~spec files =
-  let cg = Callgraph.build ~files ~aux:[] in
-  Shard.check ~spec ~cg ~structures:files ()
-
-(* Two shards' run loops both reaching one mutating def in a shard-local
-   module; the crossing-annotated variant of the same spec is the fix. *)
-let s001_files () =
+(* A fixture tree over the scope boundary: the first five files plant
+   process-global state in code every logical shard runs (a switch
+   function and a sim step each bump a module-level counter), the rest
+   hold only per-call state or sit in harness layers. *)
+let module_state_tree =
   [
-    parse_file "lib/st/state.ml"
-      "let tbl = Hashtbl.create 7\nlet bump k = Hashtbl.replace tbl k 1";
-    parse_file "lib/sw/a.ml" "let handle x = Lazyctrl_st.State.bump x";
-    parse_file "lib/cn/b.ml" "let handle x = Lazyctrl_st.State.bump x";
+    ( "lib/switch/learn.ml",
+      "let learned = ref 0\nlet learn mac = incr learned; mac" );
+    ("lib/sim/stepper.ml", "let steps = ref 0\nlet step e = incr steps; e");
+    ( "lib/core/registry.ml",
+      "type t = { tbl : (int, int) Hashtbl.t }\n\
+       let global = { tbl = Hashtbl.create 7 }" );
+    ( "lib/controller/nested.ml",
+      "module Cache = struct\n  let entries = Hashtbl.create 16\nend" );
+    ("lib/util/seeded.ml", "let rng = Prng.create 1");
+    ( "lib/switch/local.ml",
+      "let count xs = let n = ref 0 in List.iter (fun _ -> incr n) xs; !n" );
+    ( "lib/experiments/memo.ml",
+      "let memo = Hashtbl.create 64\nlet get k = Hashtbl.find_opt memo k" );
+    ("lib/perf/timer.ml", "let samples = ref []\nlet buf = Bytes.create 8");
   ]
 
-let s001_entries =
-  [
-    sentry "Lazyctrl_sw.A.handle" "shard-a" Ownership.Run;
-    sentry "Lazyctrl_cn.B.handle" "shard-b" Ownership.Run;
-  ]
+(* (file, line) of every S001 finding on the fixture tree. *)
+let module_state_sites () =
+  with_tmp_tree (fun root ->
+      List.iter
+        (fun (rel, src) ->
+          let dir = Filename.concat root (Filename.dirname rel) in
+          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+          write_file (Filename.concat root rel) src)
+        module_state_tree;
+      let report =
+        Driver.run ~families:[ "S" ] ~root
+          ~allow_path:(Filename.concat root ".allow") ()
+      in
+      List.map
+        (fun (f : Finding.t) ->
+          Alcotest.(check string) "rule" Rules.s_module_state f.rule;
+          (f.file, f.line))
+        report.Driver.findings)
 
-let ownership_tests =
-  [
-    Alcotest.test_case "default spec validates clean" `Quick (fun () ->
-        Alcotest.(check (list string)) "no defects" []
-          (Ownership.validate Ownership.default));
-    Alcotest.test_case "file rule beats directory rule" `Quick (fun () ->
-        (* flow_table.ml is carved out of the shard-crossing openflow dir *)
-        match
-          Ownership.class_of Ownership.default
-            ~file:"lib/openflow/flow_table.ml"
-        with
-        | Some (Ownership.Shard_local, _) -> ()
-        | _ -> Alcotest.fail "expected the file carve-out to win");
-    Alcotest.test_case "directory rule classifies members" `Quick (fun () ->
-        match
-          Ownership.class_of Ownership.default ~file:"lib/openflow/channel.ml"
-        with
-        | Some (Ownership.Shard_crossing, Some _) -> ()
-        | _ -> Alcotest.fail "expected a justified crossing");
-    Alcotest.test_case "unclassified file stays out of scope" `Quick
-      (fun () ->
-        Alcotest.(check bool) "bench is unowned" true
-          (Option.is_none
-             (Ownership.class_of Ownership.default ~file:"bench/main.ml")));
-    Alcotest.test_case "run entries cover every declared shard" `Quick
-      (fun () ->
-        Alcotest.(check int) "ten run-phase entry points" 10
-          (List.length (Ownership.run_entries Ownership.default)));
-    Alcotest.test_case "crossing without a why is a defect" `Quick (fun () ->
-        let spec =
-          {
-            Ownership.rules = [ srule "lib/x/" Ownership.Shard_crossing None ];
-            entries = s001_entries;
-          }
-        in
-        Alcotest.(check int) "one defect" 1
-          (List.length (Ownership.validate spec)));
-  ]
+let reports name file line =
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.(check bool)
+        (Printf.sprintf "S001 at %s:%d" file line)
+        true
+        (List.mem (file, line) (module_state_sites ())))
 
-let mutinv_tests =
+let silent name file =
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "no S001 in %s" file)
+        []
+        (List.filter_map
+           (fun (f, line) -> if String.equal f file then Some line else None)
+           (module_state_sites ())))
+
+let module_state_tests =
   [
+    reports "switch function bumps a module-level ref"
+      "lib/switch/learn.ml" 1;
+    reports "sim step bumps a module-level ref" "lib/sim/stepper.ml" 1;
+    reports "Hashtbl.create inside a record" "lib/core/registry.ml" 2;
+    reports "binding inside a nested module" "lib/controller/nested.ml" 2;
+    reports "Prng.create at module level" "lib/util/seeded.ml" 1;
+    silent "function-local ref stays quiet" "lib/switch/local.ml";
+    silent "lib/experiments memo table is out of scope"
+      "lib/experiments/memo.ml";
+    silent "lib/perf is out of scope" "lib/perf/timer.ml";
     Alcotest.test_case "inventory catches every declaration form" `Quick
       (fun () ->
         let _, s =
-          parse_file "lib/st/inv.ml"
+          parse_file "lib/net/inv.ml"
             "type t = { mutable count : int }\n\
              let cell = ref 0\n\
              let tbl = Hashtbl.create 7\n\
              let buf = Bytes.create 16\n\
-             let touch t = t.count <- 1; incr cell"
+             let grid = Array.make 4 0\n\
+             let lits = [| 1; 2 |]\n\
+             let pair = (1, ref 0)\n\
+             let slot = Some (Hashtbl.create 1)\n\
+             let next = let n = ref 0 in fun () -> incr n; !n\n\
+             let touch t = t.count <- 1; incr cell\n\
+             let fresh () = ref 0\n\
+             let limit = 4"
         in
-        let items = Mutinv.scan ~file:"lib/st/inv.ml" s in
-        let kinds k =
-          List.length
-            (List.filter (fun (i : Mutinv.item) -> i.Mutinv.m_kind == k) items)
-        in
-        Alcotest.(check int) "one mutable field" 1 (kinds Mutinv.Mutable_field);
-        Alcotest.(check int) "one ref cell" 1 (kinds Mutinv.Ref_cell);
-        Alcotest.(check int) "one hash table" 1 (kinds Mutinv.Hash_table);
-        Alcotest.(check int) "one flat array" 1 (kinds Mutinv.Flat_array);
-        Alcotest.(check int) "two stores" 2 (kinds Mutinv.Store);
-        Alcotest.(check int) "three top-level bindings" 3
-          (kinds Mutinv.Toplevel_state);
-        Alcotest.(check bool) "declared drops the stores" true
-          (List.for_all
-             (fun (i : Mutinv.item) ->
-               not (i.Mutinv.m_kind == Mutinv.Store))
-             (Mutinv.declared items)));
-  ]
-
-let shard_tests =
-  [
-    Alcotest.test_case "S001 fires on state two shards reach" `Quick
-      (fun () ->
-        let spec =
-          {
-            Ownership.rules =
-              [
-                srule "lib/st/" Ownership.Shard_local None;
-                srule "lib/sw/" Ownership.Shard_local None;
-                srule "lib/cn/" Ownership.Shard_local None;
-              ];
-            entries = s001_entries;
-          }
-        in
-        let fs = shard_check ~spec (s001_files ()) in
-        Alcotest.(check bool) "S001 on lib/st/state.ml" true
-          (List.exists
-             (fun (f : Finding.t) ->
-               String.equal f.rule Rules.s_shared_mutable
-               && String.equal f.file "lib/st/state.ml")
-             fs);
-        (* the witness names both shards' chains *)
-        Alcotest.(check bool) "witness carries both chains" true
-          (List.exists
-             (fun (f : Finding.t) ->
-               String.equal f.rule Rules.s_shared_mutable
-               && has_substring f.message "[shard-a] A.handle"
-               && has_substring f.message "[shard-b] B.handle")
-             fs));
-    Alcotest.test_case "declared crossing silences S001" `Quick (fun () ->
-        let spec =
-          {
-            Ownership.rules =
-              [
-                srule "lib/st/" Ownership.Shard_crossing
-                  (Some "updates serialized through the channel layer");
-                srule "lib/sw/" Ownership.Shard_local None;
-                srule "lib/cn/" Ownership.Shard_local None;
-              ];
-            entries = s001_entries;
-          }
-        in
-        Alcotest.(check bool) "no S001" false
-          (has Rules.s_shared_mutable (shard_check ~spec (s001_files ()))));
-    Alcotest.test_case "one shard alone owns its state" `Quick (fun () ->
-        let spec =
-          {
-            Ownership.rules =
-              [
-                srule "lib/st/" Ownership.Shard_local None;
-                srule "lib/sw/" Ownership.Shard_local None;
-              ];
-            entries = [ sentry "Lazyctrl_sw.A.handle" "shard-a" Ownership.Run ];
-          }
-        in
-        let files =
-          [
-            parse_file "lib/st/state.ml"
-              "let tbl = Hashtbl.create 7\n\
-               let bump k = Hashtbl.replace tbl k 1";
-            parse_file "lib/sw/a.ml" "let handle x = Lazyctrl_st.State.bump x";
-          ]
-        in
-        Alcotest.(check bool) "no S001" false
-          (has Rules.s_shared_mutable (shard_check ~spec files)));
-    Alcotest.test_case "S002 fires on a mutating closure escaping" `Quick
-      (fun () ->
-        let spec =
-          {
-            Ownership.rules = [ srule "lib/sw/" Ownership.Shard_local None ];
-            entries = [ sentry "Lazyctrl_sw.C.go" "shard-a" Ownership.Run ];
-          }
-        in
-        let files =
-          [
-            parse_file "lib/sw/c.ml"
-              "let go eng r = Engine.schedule eng 5 (fun () -> r := 1)";
-          ]
-        in
-        Alcotest.(check bool) "S002 reported" true
-          (has Rules.s_closure_escape (shard_check ~spec files)));
-    Alcotest.test_case "pure closure on the queue stays quiet" `Quick
-      (fun () ->
-        let spec =
-          {
-            Ownership.rules = [ srule "lib/sw/" Ownership.Shard_local None ];
-            entries = [ sentry "Lazyctrl_sw.C.go" "shard-a" Ownership.Run ];
-          }
-        in
-        let files =
-          [
-            parse_file "lib/sw/c.ml"
-              "let go eng f = Engine.schedule eng 5 (fun () -> ignore f)";
-          ]
-        in
-        Alcotest.(check bool) "no S002" false
-          (has Rules.s_closure_escape (shard_check ~spec files)));
-    Alcotest.test_case "S003 fires on a run-loop write to frozen state"
-      `Quick (fun () ->
-        let spec =
-          {
-            Ownership.rules =
-              [
-                srule "lib/ro/" Ownership.Read_only_after_init None;
-                srule "lib/sw/" Ownership.Shard_local None;
-              ];
-            entries = [ sentry "Lazyctrl_sw.D.handle" "shard-a" Ownership.Run ];
-          }
-        in
-        let files =
-          [
-            parse_file "lib/ro/t.ml"
-              "type t = { mutable v : int }\nlet set t = t.v <- 1";
-            parse_file "lib/sw/d.ml" "let handle t = Lazyctrl_ro.T.set t";
-          ]
-        in
-        let fs = shard_check ~spec files in
-        Alcotest.(check bool) "S003 on lib/ro/t.ml" true
-          (List.exists
-             (fun (f : Finding.t) ->
-               String.equal f.rule Rules.s_init_write
-               && String.equal f.file "lib/ro/t.ml")
-             fs));
-    Alcotest.test_case "setup-phase writes to frozen state are fine" `Quick
-      (fun () ->
-        let spec =
-          {
-            Ownership.rules =
-              [
-                srule "lib/ro/" Ownership.Read_only_after_init None;
-                srule "lib/sw/" Ownership.Shard_local None;
-              ];
-            entries =
-              [
-                sentry "Lazyctrl_sw.D.build" "setup" Ownership.Init;
-                sentry "Lazyctrl_sw.D.handle" "shard-a" Ownership.Run;
-              ];
-          }
-        in
-        let files =
-          [
-            parse_file "lib/ro/t.ml"
-              "type t = { mutable v : int }\nlet set t = t.v <- 1";
-            parse_file "lib/sw/d.ml"
-              "let build t = Lazyctrl_ro.T.set t\nlet handle t = ignore t";
-          ]
-        in
-        Alcotest.(check bool) "no S003" false
-          (has Rules.s_init_write (shard_check ~spec files)));
-    Alcotest.test_case "S000 flags an entry that resolves nowhere" `Quick
-      (fun () ->
-        let spec =
-          {
-            Ownership.rules = [ srule "lib/sw/" Ownership.Shard_local None ];
-            entries =
-              [
-                sentry "Lazyctrl_sw.A.handle" "shard-a" Ownership.Run;
-                sentry "Lazyctrl_gone.Nope.run" "shard-b" Ownership.Run;
-              ];
-          }
-        in
-        let files = [ parse_file "lib/sw/a.ml" "let handle x = x" ] in
-        Alcotest.(check bool) "S000 reported" true
-          (has Rules.s_spec (shard_check ~spec files)));
+        Alcotest.(check (list int)) "one finding per mutable binding"
+          [ 2; 3; 4; 5; 6; 7; 8; 9 ]
+          (List.map
+             (fun (f : Finding.t) -> f.line)
+             (Mutinv.check ~file:"lib/net/inv.ml" s)));
     Alcotest.test_case "the real repo has zero unallowlisted S findings"
       `Quick (fun () ->
         (* The acceptance gate: every S finding in the shipped tree is
            either fixed or carries a written justification. *)
         let root = "../" in
-        if Sys.file_exists (Filename.concat root "lib/analysis/ownership.ml")
+        if Sys.file_exists (Filename.concat root "lib/analysis/mutinv.ml")
         then
           let report =
             Driver.run ~families:[ "S" ] ~root
@@ -1081,19 +929,7 @@ let callgraph_notes_tests =
 let architecture_doc_tests =
   [
     Alcotest.test_case "mermaid diagram matches allowed_deps" `Quick (fun () ->
-        let read_all path =
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        (* cwd is test/ under `dune runtest` (the dep is staged one level
-           up) but the project root under a bare `dune exec`. *)
-        let doc =
-          read_all
-            (if Sys.file_exists "../ARCHITECTURE.md" then "../ARCHITECTURE.md"
-             else "ARCHITECTURE.md")
-        in
+        let doc = read_repo_file "ARCHITECTURE.md" in
         let in_fence = ref false in
         let nodes = ref [] and edges = ref [] in
         List.iter
@@ -1151,9 +987,7 @@ let () =
       ("E00x-effects", effects_tests);
       ("L00x-layering", layering_tests);
       ("X00x-deadcode", deadcode_tests);
-      ("ownership-spec", ownership_tests);
-      ("mutable-inventory", mutinv_tests);
-      ("S00x-domain-safety", shard_tests);
+      ("S001-module-state", module_state_tests);
       ("callgraph-notes", callgraph_notes_tests);
       ("architecture-doc", architecture_doc_tests);
       ("driver", driver_tests);
