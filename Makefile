@@ -81,7 +81,8 @@ chaos-cluster:
 	dune exec bin/lazyctrl_cli.exe -- chaos --controllers 3
 
 # Every paper table and figure at full scale (EXPERIMENTS.md quotes these
-# numbers), written to bench_output.txt.  About 5.5 minutes on a 2-core VM.
+# numbers), written to bench_output.txt.  One measured run took 5 min 36 s
+# on a shared 2-core VM.
 reproduce:
 	dune build bin/lazyctrl_cli.exe
 	./_build/default/bin/lazyctrl_cli.exe experiment > bench_output.txt

@@ -10,7 +10,7 @@ type env = {
   engine : Engine.t;
   send_controller : msg -> unit;
   send_underlay : Packet.t -> unit;
-  deliver_local : Host.t -> Packet.t -> unit;
+  deliver_local : Host.t list -> Packet.t -> unit;
   underlay_ip : Ipv4.t;
 }
 
@@ -26,6 +26,10 @@ type t = {
   env : env;
   table : Flow_table.t;
   ports : (int, Host.t) Hashtbl.t; (* mac -> locally attached host *)
+  (* [ports]' hosts in ascending mac order, rebuilt lazily after an
+     attach or detach: floods and [Deliver] walk it instead of sorting
+     the port table per packet. *)
+  mutable by_mac : Host.t array option;
   buffers : Buffer_pool.t;
   mutable s_from_hosts : int;
   mutable s_delivered : int;
@@ -39,6 +43,7 @@ let create env ~flow_table_capacity =
     env;
     table = Flow_table.create ~capacity:flow_table_capacity ();
     ports = Hashtbl.create 32;
+    by_mac = None;
     buffers = Buffer_pool.create ~ttl:(Time.of_sec 1) ();
     s_from_hosts = 0;
     s_delivered = 0;
@@ -47,15 +52,31 @@ let create env ~flow_table_capacity =
     s_punted = 0;
   }
 
-let attach_host t (h : Host.t) = Hashtbl.replace t.ports (Mac.to_int h.mac) h
+let attach_host t (h : Host.t) =
+  Hashtbl.replace t.ports (Mac.to_int h.mac) h;
+  t.by_mac <- None
 
-let detach_host t (h : Host.t) = Hashtbl.remove t.ports (Mac.to_int h.mac)
+let detach_host t (h : Host.t) =
+  Hashtbl.remove t.ports (Mac.to_int h.mac);
+  t.by_mac <- None
+
+let hosts_by_mac t =
+  match t.by_mac with
+  | Some a -> a
+  | None ->
+      let a =
+        Array.of_list
+          (List.map snd
+             (Lazyctrl_util.Det.bindings_sorted ~cmp:Int.compare t.ports))
+      in
+      t.by_mac <- Some a;
+      a
 
 let now t = Engine.now t.env.engine
 
-let deliver t host pkt =
-  t.s_delivered <- t.s_delivered + 1;
-  t.env.deliver_local host pkt
+let deliver t hosts pkt =
+  t.s_delivered <- t.s_delivered + List.length hosts;
+  t.env.deliver_local hosts pkt
 
 let flood_local t (eth : Packet.eth) =
   let sender_tenant =
@@ -63,30 +84,33 @@ let flood_local t (eth : Packet.eth) =
       (fun (h : Host.t) -> h.tenant)
       (Hashtbl.find_opt t.ports (Mac.to_int eth.src))
   in
-  (* Flood in mac order: delivery order is visible in the event stream. *)
-  Lazyctrl_util.Det.iter_sorted ~cmp:Int.compare
-    (fun _ (h : Host.t) ->
-      let same_tenant =
-        match sender_tenant with
-        | Some ten -> Ids.Tenant_id.equal h.tenant ten
-        | None -> true
-      in
-      if same_tenant && not (Mac.equal h.mac eth.src) then
-        deliver t h (Packet.Plain eth))
-    t.ports
+  (* Flood in mac order, as one delivery: the order is visible in the
+     event stream. *)
+  let targets =
+    Array.fold_right
+      (fun (h : Host.t) acc ->
+        let same_tenant =
+          match sender_tenant with
+          | Some ten -> Ids.Tenant_id.equal h.tenant ten
+          | None -> true
+        in
+        if same_tenant && not (Mac.equal h.mac eth.src) then h :: acc else acc)
+      (hosts_by_mac t) []
+  in
+  if not (List.is_empty targets) then deliver t targets (Packet.Plain eth)
 
 let apply_actions t packet actions =
   let eth = Packet.eth_of packet in
   List.iter
     (function
       | Action.Deliver hid -> (
-          let found =
-            Lazyctrl_util.Det.fold_sorted ~cmp:Int.compare
-              (fun _ (h : Host.t) acc ->
-                if Ids.Host_id.equal h.id hid then Some h else acc)
-              t.ports None
-          in
-          match found with Some h -> deliver t h packet | None -> ())
+          match
+            Array.find_opt
+              (fun (h : Host.t) -> Ids.Host_id.equal h.id hid)
+              (hosts_by_mac t)
+          with
+          | Some h -> deliver t [ h ] packet
+          | None -> ())
       | Action.Encap ip ->
           t.s_encap <- t.s_encap + 1;
           t.env.send_underlay
@@ -132,7 +156,7 @@ let handle_underlay t packet =
       (* Delivery to the learned port; the physical port mapping plays the
          role of the installed output rule at the last hop. *)
       match Hashtbl.find_opt t.ports (Mac.to_int inner.dst) with
-      | Some host -> deliver t host (Packet.Plain inner)
+      | Some host -> deliver t [ host ] (Packet.Plain inner)
       | None -> ())
 
 let handle_controller_message t msg =

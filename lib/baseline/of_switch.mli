@@ -18,7 +18,9 @@ type env = {
   engine : Engine.t;
   send_controller : msg -> unit;
   send_underlay : Packet.t -> unit;
-  deliver_local : Host.t -> Packet.t -> unit;
+  deliver_local : Host.t list -> Packet.t -> unit;
+      (** One output action's host ports: a flood passes every target in
+          ascending mac order, a unicast output one host. *)
   underlay_ip : Ipv4.t;
 }
 

@@ -556,7 +556,7 @@ let make_of_plane ~params ~of_config ~sharder ~topo ~underlay ~deliver_local =
         Of_switch.engine;
         send_controller = (fun msg -> ignore (Channel.send ctrl_up.(i) msg));
         send_underlay = (fun pkt -> ignore (Underlay.send underlay pkt));
-        deliver_local = deliver_local 0;
+        deliver_local;
         underlay_ip = Topology.underlay_ip topo self;
       }
     in
@@ -640,6 +640,18 @@ let create ?(params = Params.default)
              (fun () -> host_delivery t ~shard:s host pkt))
     | None -> ()
   in
+  (* One OpenFlow output action is one event that delivers to its hosts
+     in order: the same calls at the same clock as one event per host,
+     which would have held consecutive sequence numbers (DESIGN.md §6). *)
+  let deliver_hosts hosts pkt =
+    match !t_ref with
+    | Some t ->
+        ignore
+          (Engine.schedule (engine_of 0) ~after:params.Params.host_port_latency
+             (fun () ->
+               List.iter (fun host -> host_delivery t ~shard:0 host pkt) hosts))
+    | None -> ()
+  in
   let plane =
     match mode with
     | Lazy ->
@@ -650,7 +662,7 @@ let create ?(params = Params.default)
     | Openflow ->
         Of_plane
           (make_of_plane ~params ~of_config ~sharder ~topo
-             ~underlay:underlays.(0) ~deliver_local)
+             ~underlay:underlays.(0) ~deliver_local:deliver_hosts)
   in
   let t =
     {

@@ -25,8 +25,10 @@ val lanes : t -> int
 
 val run_all : t -> (unit -> unit) array -> unit
 (** Run every thunk to completion, in parallel across the lanes.
-    Thunks must touch disjoint state (enforced upstream by the S00x
-    ownership spec).  If any thunk raises, the exception of the
+    Thunks must touch disjoint state (kept apart upstream: [Network]
+    builds each shard's state apart, shards meet only through the
+    {!Shard_engine.post} seam, and the [S001-module-state] lint rules
+    out module-level state).  If any thunk raises, the exception of the
     lowest-numbered failing lane is re-raised here — after all lanes
     have gone idle, so the barrier still holds. *)
 

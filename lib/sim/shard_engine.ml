@@ -18,11 +18,13 @@
    [Conservative_violation] otherwise.
 
    Determinism at any domain count: within a window the logical shards
-   share nothing (S00x ownership spec), so each shard's execution — and
-   hence its post stream with its per-source seq numbers — is a pure
-   function of simulation state; the barrier merge sorts by
-   (time, src, seq), a key that never mentions a domain.  Windows are
-   grid-aligned, so their boundaries do not depend on scheduling either.
+   share nothing ([Network] builds each shard's state apart, every
+   crossing goes through [post], and S001-module-state rules out
+   module-level state), so each shard's execution — and hence its post
+   stream with its per-source seq numbers — is a pure function of
+   simulation state; the barrier merge sorts by (time, src, seq), a key
+   that never mentions a domain.  Windows are grid-aligned, so their
+   boundaries do not depend on scheduling either.
    Idle windows are skipped by jumping to the window that contains the
    earliest live event across all shard engines, which is again a
    global, domain-independent quantity. *)

@@ -15,13 +15,15 @@
     every cross-shard latency is at least W, and enforced by {!post}
     raising {!Conservative_violation}.
 
-    {b Determinism:} within a window, shards share no mutable state (the
-    S00x ownership spec gates this), so each shard's post stream is a
-    pure function of simulation state; the merge key and the window grid
-    never mention a physical domain.  Hence the same seed produces
-    byte-identical observable state at every domain count —
-    [test_shard.ml] checks this property, and the CI multicore matrix
-    runs it at D = 1, 2, 4. *)
+    {b Determinism:} within a window, shards share no mutable state
+    ([Network] builds each shard's engine, switches, controller and PRNG
+    streams apart, every crossing goes through {!post}, and the
+    [S001-module-state] lint rules out module-level state), so each
+    shard's post stream is a pure function of simulation state; the
+    merge key and the window grid never mention a physical domain.
+    Hence the same seed produces byte-identical observable state at
+    every domain count — [test_shard.ml] checks this property, and the
+    CI multicore matrix runs it at D = 1, 2, 4. *)
 
 exception
   Conservative_violation of { src : int; dst : int; at : Time.t; window_end : Time.t }

@@ -50,22 +50,25 @@ let add_keys filter (keys : Proto.host_key list) =
       Bloom.Counting.add filter (Proto.ip_key k.ip))
     keys
 
+(* The peer's filter, created empty on first use. *)
+let filter_of t peer =
+  match Ids.Switch_id.Tbl.find_opt t.filters peer with
+  | Some f -> f
+  | None ->
+      let f = fresh_filter t in
+      Ids.Switch_id.Tbl.replace t.filters peer f;
+      invalidate t;
+      f
+
+(* A known peer's filter is refilled in place: cleared, it equals a fresh
+   one of the same geometry, and the peer cache keeps aliasing it. *)
 let set_peer t peer keys =
-  let filter = fresh_filter t in
-  add_keys filter keys;
-  Ids.Switch_id.Tbl.replace t.filters peer filter;
-  invalidate t
+  let filter = filter_of t peer in
+  Bloom.Counting.clear filter;
+  add_keys filter keys
 
 let apply_advert t peer ~added ~removed =
-  let filter =
-    match Ids.Switch_id.Tbl.find_opt t.filters peer with
-    | Some f -> f
-    | None ->
-        let f = fresh_filter t in
-        Ids.Switch_id.Tbl.replace t.filters peer f;
-        invalidate t;
-        f
-  in
+  let filter = filter_of t peer in
   add_keys filter added;
   List.iter
     (fun (k : Proto.host_key) ->

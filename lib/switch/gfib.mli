@@ -16,10 +16,11 @@ val create : ?bits_per_entry:int -> ?expected_hosts_per_switch:int -> unit -> t
 (** Defaults: 128 bits/entry and 64 expected hosts per peer, i.e. a
     2048-byte filter per peer — the paper's 16 blocks of 128 bytes —
     giving a far-below-0.1% false-positive rate. Filters are sized once
-    per peer and rebuilt on full syncs. *)
+    per peer and refilled on full syncs. *)
 
 val set_peer : t -> Ids.Switch_id.t -> Proto.host_key list -> unit
-(** Full replacement of a peer's filter (grouping change / full sync). *)
+(** Full replacement of a peer's filter contents (grouping change / full
+    sync); a known peer's filter is cleared and refilled in place. *)
 
 val apply_advert :
   t -> Ids.Switch_id.t -> added:Proto.host_key list -> removed:Proto.host_key list -> unit

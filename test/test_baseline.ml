@@ -16,7 +16,7 @@ type recorded = {
   engine : Engine.t;
   to_controller : Of_switch.msg list ref;
   to_underlay : Packet.t list ref;
-  to_hosts : (Host.t * Packet.t) list ref;
+  to_hosts : (Host.t list * Packet.t) list ref;  (* one per deliver_local *)
 }
 
 let make_switch ?(self = 0) () =
@@ -27,7 +27,7 @@ let make_switch ?(self = 0) () =
       Of_switch.engine;
       send_controller = (fun m -> to_controller := m :: !to_controller);
       send_underlay = (fun p -> to_underlay := p :: !to_underlay);
-      deliver_local = (fun h p -> to_hosts := (h, p) :: !to_hosts);
+      deliver_local = (fun hs p -> to_hosts := (hs, p) :: !to_hosts);
       underlay_ip = Ipv4.of_switch_id self;
     }
   in
@@ -74,7 +74,9 @@ let test_switch_decap_by_port_map () =
   let eth = Packet.eth_of (data_pkt ~src:(host 5) ~dst:h1) in
   Of_switch.handle_underlay sw
     (Packet.encap ~outer_src:(Ipv4.of_switch_id 2) ~outer_dst:(Ipv4.of_switch_id 0) eth);
-  check Alcotest.int "delivered" 1 (List.length !(r.to_hosts));
+  (match !(r.to_hosts) with
+  | [ ([ to_ ], _) ] -> check Alcotest.bool "delivered to h1" true (Host.equal to_ h1)
+  | _ -> Alcotest.fail "expected one delivery to one host");
   (* Unknown inner destination is silently dropped. *)
   let eth2 = Packet.eth_of (data_pkt ~src:(host 5) ~dst:(host 9)) in
   Of_switch.handle_underlay sw
@@ -89,9 +91,42 @@ let test_switch_flood_local_tenant_scope () =
     (Message.Packet_out { packet = data_pkt ~src:h1 ~dst:(host 9); actions = [ Action.Flood_local ] });
   (* Same tenant only, sender excluded. *)
   (match !(r.to_hosts) with
-  | [ (to_, _) ] -> check Alcotest.bool "only the tenant peer" true (Host.equal to_ h2)
+  | [ ([ to_ ], _) ] -> check Alcotest.bool "only the tenant peer" true (Host.equal to_ h2)
   | _ -> Alcotest.fail "expected exactly one flooded copy");
   ignore h3
+
+(* A flood is one [deliver_local] call listing its targets in mac order,
+   whatever order the hosts were attached in; attaching or detaching a
+   host between floods shows in the next one. *)
+let test_switch_flood_one_delivery_in_mac_order () =
+  let sw, r = make_switch () in
+  let h1 = host 1 and h3 = host 3 and h5 = host 5 and h7 = host 7 in
+  let other = host ~tenant:1 9 in
+  List.iter (Of_switch.attach_host sw) [ h7; other; h3; h5; h1 ];
+  let flood ~src =
+    r.to_hosts := [];
+    Of_switch.handle_controller_message sw
+      (Message.Packet_out
+         { packet = data_pkt ~src ~dst:(host 99); actions = [ Action.Flood_local ] });
+    match !(r.to_hosts) with
+    | [ (hosts, _) ] -> List.map (fun (h : Host.t) -> Ids.Host_id.to_int h.id) hosts
+    | calls -> Alcotest.failf "expected one delivery, got %d" (List.length calls)
+  in
+  let delivered () = (Of_switch.stats sw).Of_switch.packets_delivered in
+  let ids = Alcotest.(list int) in
+  (* Local sender: its tenant's other hosts only. *)
+  check ids "local sender" [ 1; 5; 7 ] (flood ~src:h3);
+  check Alcotest.int "each host counted" 3 (delivered ());
+  (* Sender behind another switch: every attached host. *)
+  check ids "remote sender" [ 1; 3; 5; 7; 9 ] (flood ~src:(host 20));
+  check Alcotest.int "counted again" 8 (delivered ());
+  (* The cached order follows detach and attach. *)
+  Of_switch.detach_host sw h5;
+  check ids "after a detach" [ 1; 3; 7; 9 ] (flood ~src:(host 20));
+  Of_switch.attach_host sw (host 4);
+  check ids "after an attach" [ 1; 3; 4; 7; 9 ] (flood ~src:(host 20));
+  check ids "local sender after both" [ 1; 4; 7 ] (flood ~src:h3);
+  check Alcotest.int "all counted" 20 (delivered ())
 
 let test_switch_echo () =
   let sw, r = make_switch () in
@@ -194,6 +229,8 @@ let () =
           Alcotest.test_case "applies rules" `Quick test_switch_applies_rules;
           Alcotest.test_case "decap via port map" `Quick test_switch_decap_by_port_map;
           Alcotest.test_case "tenant-scoped flood" `Quick test_switch_flood_local_tenant_scope;
+          Alcotest.test_case "flood is one delivery in mac order" `Quick
+            test_switch_flood_one_delivery_in_mac_order;
           Alcotest.test_case "echo" `Quick test_switch_echo;
         ] );
       ( "of_controller",

@@ -279,6 +279,89 @@ let test_openflow_latency_higher_than_lazy () =
   check Alcotest.bool "lazy beats OpenFlow cold-cache" true
     (mean lazy_net < mean of_net)
 
+(* A seeded 8-switch data centre under a real-like trace over three
+   2-hour buckets: cold ARP caches flood every switch, and one VM moves
+   mid-run.  The constants pin the OpenFlow plane's simulated
+   observables, which must not depend on how many engine events carry a
+   flood's host deliveries (DESIGN.md §6). *)
+let of_pinned_run () =
+  let topo =
+    Placement.generate ~rng:(Prng.create 23)
+      {
+        Placement.n_switches = 8;
+        n_tenants = 4;
+        tenant_size_min = 6;
+        tenant_size_max = 10;
+        racks_per_tenant = 2;
+        stray_fraction = 0.1;
+      }
+  in
+  let trace =
+    Lazyctrl_traffic.Gen.real_like ~rng:(Prng.create 24) ~topo ~n_flows:400
+      ~duration:(Time.of_hour 6) ()
+  in
+  let net =
+    Network.create ~mode:Network.Openflow ~topo ~horizon:(Time.of_hour 6) ()
+  in
+  Network.replay net trace;
+  Network.run net ~until:(Time.of_hour 3);
+  let moved = List.hd (Topology.hosts topo) in
+  let from = Ids.Switch_id.to_int (Topology.location topo moved.Host.id) in
+  Network.migrate_host net moved.Host.id ~to_:(sid ((from + 1) mod 8));
+  Network.run net ~until:(Time.of_hour 6);
+  let module Ofc = Lazyctrl_baseline.Of_controller in
+  let module Ofs = Lazyctrl_baseline.Of_switch in
+  let c = Ofc.stats (Option.get (Network.of_controller net)) in
+  let sum f =
+    List.fold_left
+      (fun acc i -> acc + f (Ofs.stats (Option.get (Network.of_switch net (sid i)))))
+      0 (List.init 8 Fun.id)
+  in
+  let recorder = Network.recorder net in
+  ( [
+      ("flows delivered", Host_model.flows_delivered (Network.host_model net));
+      ("controller requests", c.Ofc.requests);
+      ("controller packet_ins", c.Ofc.packet_ins);
+      ("controller flow_mods_sent", c.Ofc.flow_mods_sent);
+      ("controller packet_outs_sent", c.Ofc.packet_outs_sent);
+      ("controller buffer_outs_sent", c.Ofc.buffer_outs_sent);
+      ("controller floods", c.Ofc.floods);
+      ("controller learned_macs", c.Ofc.learned_macs);
+      ("switch packets_from_hosts", sum (fun s -> s.Ofs.packets_from_hosts));
+      ("switch packets_delivered", sum (fun s -> s.Ofs.packets_delivered));
+      ("switch encap_sent", sum (fun s -> s.Ofs.encap_sent));
+      ("switch flow_table_handled", sum (fun s -> s.Ofs.flow_table_handled));
+      ("switch punted", sum (fun s -> s.Ofs.punted));
+      ("recorder requests", Recorder.total_requests recorder);
+    ],
+    Recorder.first_latency_ms_series recorder
+    |> Array.to_list
+    |> List.map (Printf.sprintf "%.9f")
+    |> String.concat " " )
+
+let test_openflow_pinned () =
+  let counts, series = of_pinned_run () in
+  check Alcotest.(list (pair string int)) "observables"
+    [
+      ("flows delivered", 394);
+      ("controller requests", 746);
+      ("controller packet_ins", 746);
+      ("controller flow_mods_sent", 363);
+      ("controller packet_outs_sent", 1351);
+      ("controller buffer_outs_sent", 746);
+      ("controller floods", 193);
+      ("controller learned_macs", 34);
+      ("switch packets_from_hosts", 750);
+      ("switch packets_delivered", 7850);
+      ("switch encap_sent", 367);
+      ("switch flow_table_handled", 4);
+      ("switch punted", 746);
+      ("recorder requests", 746);
+    ]
+    counts;
+  check Alcotest.string "first-packet latency series (ms)"
+    "6.674202899 6.711129032 6.653181818" series
+
 let test_modes_accessors () =
   let net = make () in
   check Alcotest.bool "lazy accessors" true
@@ -349,6 +432,7 @@ let () =
         [
           Alcotest.test_case "delivery" `Quick test_openflow_flow_delivery;
           Alcotest.test_case "latency comparison" `Quick test_openflow_latency_higher_than_lazy;
+          Alcotest.test_case "pinned observables" `Quick test_openflow_pinned;
         ] );
       ( "wiring",
         [

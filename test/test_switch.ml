@@ -87,7 +87,30 @@ let test_gfib_advert_lifecycle () =
   Gfib.set_peer g (sid 1) [ key_of (host 2) ];
   check Alcotest.bool "full replace drops old" true
     (Gfib.candidates_mac g (host 1).Host.mac = []);
+  (* After adds and removes, a full advert leaves the peer answering
+     exactly as a fresh G-FIB given only that advert, and the peer set
+     (cached before the advert) unchanged. *)
+  Gfib.set_peer g (sid 2) [ key_of (host 40) ];
+  Gfib.apply_advert g (sid 1) ~added:(List.init 20 (fun i -> key_of (host i))) ~removed:[];
+  Gfib.apply_advert g (sid 1) ~added:[] ~removed:[ key_of (host 3); key_of (host 4) ];
+  let peers () = List.map Ids.Switch_id.to_int (Gfib.peers g) in
+  let before = peers () in
+  let keys = [ key_of (host 5); key_of (host 30); key_of (host 31) ] in
+  Gfib.set_peer g (sid 1) keys;
+  let fresh = Gfib.create () in
+  Gfib.set_peer fresh (sid 1) keys;
+  check (Alcotest.list Alcotest.int) "peers unchanged" before (peers ());
+  let peer1 = List.filter (Ids.Switch_id.equal (sid 1)) in
+  let same = List.equal Ids.Switch_id.equal in
+  for i = 0 to 63 do
+    let h = host i in
+    check Alcotest.bool (Printf.sprintf "h%d by mac as fresh" i) true
+      (same (Gfib.candidates_mac fresh h.Host.mac) (peer1 (Gfib.candidates_mac g h.Host.mac)));
+    check Alcotest.bool (Printf.sprintf "h%d by ip as fresh" i) true
+      (same (Gfib.candidates_ip fresh h.Host.ip) (peer1 (Gfib.candidates_ip g h.Host.ip)))
+  done;
   Gfib.drop_peer g (sid 1);
+  Gfib.drop_peer g (sid 2);
   check Alcotest.int "dropped" 0 (Gfib.n_peers g)
 
 let test_gfib_storage () =
