@@ -1,4 +1,4 @@
-.PHONY: all build test lint lint-check lint-json lint-sarif lint-hotpath bench bench-json bench-check shard-check chaos chaos-cluster reproduce clean
+.PHONY: all build test lint lint-check lint-json lint-hotpath bench bench-json bench-check shard-check chaos chaos-cluster reproduce clean
 
 all: build
 
@@ -22,27 +22,15 @@ lint-json:
 	  > _build/lint-report.json
 	@echo "wrote _build/lint-report.json"
 
-# SARIF 2.1.0 report for GitHub code scanning.  Same gating semantics as
-# lint-json; the report is written either way.
-lint-sarif:
-	dune build bin/lazyctrl_lint.exe
-	./_build/default/bin/lazyctrl_lint.exe --root . --format sarif --check \
-	  > _build/lint-report.sarif
-	@echo "wrote _build/lint-report.sarif"
-
-# H00x hot-path cross-validation (DESIGN.md §10): measure every probe
-# declared in lib/analysis/hotspec.ml with the bench hotpath targets,
-# then judge the static verdict against the measured minor-words-per-op
-# and the committed HOTPATH_budget.  The SARIF report comes first
-# (non-gating, merged into code scanning by CI); the JSON report gates,
-# but is written either way so a failing tree still leaves the artifact.
+# H00x hot-path gate (DESIGN.md §10): measure every probe declared in
+# lib/analysis/hotspec.ml with the bench hotpath targets, then judge the
+# measured minor-words-per-op against the committed HOTPATH_budget next
+# to the static verdict.  The JSON report gates, but is written either
+# way so a failing tree still leaves the artifact.
 lint-hotpath:
 	dune build bin/lazyctrl_lint.exe bench/main.exe
 	./_build/default/bench/main.exe --quick hotpath \
 	  --json _build/hotpath-measured.json
-	./_build/default/bin/lazyctrl_lint.exe --root . --hotpath-report \
-	  --measured _build/hotpath-measured.json --format sarif \
-	  > _build/hotpath-report.sarif
 	./_build/default/bin/lazyctrl_lint.exe --root . --hotpath-report \
 	  --measured _build/hotpath-measured.json --check \
 	  > _build/hotpath-report.json

@@ -502,7 +502,7 @@ let exp_table2 quick =
        ~n_flows_syn:(syn_flows quick) ());
   print_endline
     "(paper: Real 271M flows 0.85 | Syn-A 2720M 0.85 | Syn-B 3806M 0.72 | Syn-C 5071M 0.61;\n\
-    \ flow counts here are sampled down, centrality/skew are scale-free)"
+    \ flows sampled down; centrality/skew shift with scale, the order Real > Syn-A > Syn-B > Syn-C does not)"
 
 let exp_fig6a quick =
   section "Fig. 6(a) — normalized inter-group traffic intensity vs #groups";

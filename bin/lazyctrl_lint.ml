@@ -9,30 +9,20 @@
    "fix the code"). Exit 2 on usage error. *)
 
 let usage =
-  "lazyctrl_lint [--root DIR] [--allow FILE] [--format text|json|sarif] \
-   [--check] [--rules FAMILIES] [--list-rules] \
+  "lazyctrl_lint [--root DIR] [--allow FILE] [--json] [--check] \
+   [--rules FAMILIES] [--list-rules] \
    [--hotpath-report [--budget FILE] [--measured FILE]]"
-
-type format = Text | Json | Sarif
 
 let () =
   let root = ref "." in
   let allow = ref ".lazyctrl-lint-allow" in
-  let format = ref Text in
+  let json = ref false in
   let check = ref false in
   let list_rules = ref false in
   let hotpath_report = ref false in
   let budget = ref "HOTPATH_budget" in
   let measured_file = ref None in
   let families = ref None in
-  let set_format = function
-    | "text" -> format := Text
-    | "json" -> format := Json
-    | "sarif" -> format := Sarif
-    | other ->
-        Printf.eprintf "unknown format '%s' (known: text, json, sarif)\n" other;
-        exit 2
-  in
   let set_families s =
     let fs =
       String.split_on_char ',' s
@@ -41,7 +31,7 @@ let () =
       |> List.map String.uppercase_ascii
     in
     if List.is_empty fs then begin
-      Printf.eprintf "--rules needs at least one family (e.g. --rules E,L)\n";
+      Printf.eprintf "--rules needs at least one family (e.g. --rules D,L)\n";
       exit 2
     end;
     List.iter
@@ -61,11 +51,7 @@ let () =
         Arg.Set_string allow,
         "FILE allowlist path (default .lazyctrl-lint-allow, relative to \
          --root)" );
-      ("--json", Arg.Unit (fun () -> format := Json), " emit the report as JSON (same as --format json)");
-      ( "--format",
-        Arg.String set_format,
-        "FMT output format: text (default), json, or sarif (SARIF 2.1.0 \
-         for code scanning)" );
+      ("--json", Arg.Set json, " emit the report as JSON (default: text)");
       ( "--check",
         Arg.Set check,
         " gate: exit 1 on gating findings, exit 3 on stale allowlist \
@@ -73,12 +59,12 @@ let () =
       ( "--rules",
         Arg.String set_families,
         "FAMILIES comma-separated rule families to run (subset of \
-         D,A,P,E,L,X,S,H; default all)" );
+         D,A,P,L,X,S,H; default all)" );
       ("--list-rules", Arg.Set list_rules, " list rule identifiers and exit");
       ( "--hotpath-report",
         Arg.Set hotpath_report,
-        " emit the H00x hot-path cross-validation report and exit \
-         (--format json or sarif; with --check, exit 1 on findings)" );
+        " emit the H00x hot-path report as JSON and exit (with --check, \
+         exit 1 on findings)" );
       ( "--budget",
         Arg.Set_string budget,
         "FILE minor-words-per-op budget file for --hotpath-report \
@@ -124,39 +110,33 @@ let () =
       Driver.hotpath_check ~root:!root ~allow_path ~budget_path:!budget
         ~measured ()
     in
-    (match !format with
-    | Sarif -> print_string (Sarif.of_findings r.Driver.hp_findings)
-    | Json | Text -> print_string (Driver.hotpath_report_json r));
+    print_string (Driver.hotpath_report_json r);
     exit (if !check && not (Driver.hotpath_clean r) then 1 else 0)
   end;
   let report =
     Lazyctrl_analysis.Driver.run ?families:!families ~root:!root ~allow_path ()
   in
   let open Lazyctrl_analysis in
-  (match !format with
-  | Json -> print_string (Driver.report_to_json report)
-  | Sarif -> print_string (Sarif.of_report report)
-  | Text ->
-      List.iter
-        (fun f -> print_endline (Finding.to_string f))
-        report.Driver.findings;
-      List.iter
-        (fun f -> print_endline (Finding.to_string f))
-        report.Driver.stale;
-      List.iter
-        (fun (file, msg) ->
-          Printf.printf "%s: error: file did not parse: %s\n" file msg)
-        report.Driver.parse_failures;
-      List.iter
-        (fun (file, note) -> Printf.printf "%s: note: %s\n" file note)
-        report.Driver.callgraph_notes;
-      Printf.printf
-        "lazyctrl-lint: %d file(s) scanned, %d finding(s), %d suppressed by \
-         allowlist, %d stale allowlist entr(ies)\n"
-        report.Driver.files_scanned
-        (List.length report.Driver.findings)
-        (List.length report.Driver.suppressed)
-        (List.length report.Driver.stale));
+  if !json then print_string (Driver.report_to_json report)
+  else begin
+    List.iter
+      (fun f -> print_endline (Finding.to_string f))
+      (report.Driver.findings @ report.Driver.stale);
+    List.iter
+      (fun (file, msg) ->
+        Printf.printf "%s: error: file did not parse: %s\n" file msg)
+      report.Driver.parse_failures;
+    List.iter
+      (fun (file, note) -> Printf.printf "%s: note: %s\n" file note)
+      report.Driver.callgraph_notes;
+    Printf.printf
+      "lazyctrl-lint: %d file(s) scanned, %d finding(s), %d suppressed by \
+       allowlist, %d stale allowlist entr(ies)\n"
+      report.Driver.files_scanned
+      (List.length report.Driver.findings)
+      (List.length report.Driver.suppressed)
+      (List.length report.Driver.stale)
+  end;
   let code =
     if not !check then 0
     else if not (Driver.clean report) then 1

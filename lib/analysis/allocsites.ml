@@ -9,10 +9,10 @@
    Known blind spots, by construction (no type information):
    - partial application (closure built at runtime when a function is
      applied to fewer arguments than it takes) is invisible without
-     arities — the dynamic cross-validation in Hotbudget is the backstop;
+     arities — the measured budgets in Hotbudget are the backstop;
    - boxing done inside the stdlib (e.g. [Hashtbl.find_opt] wrapping the
      hit in [Some]) is equally invisible — same backstop, surfaced as an
-     H004 calibration gap;
+     H005 budget excess;
    - structure-level [let] bindings whose right-hand side is not a
      function run once at module initialization, so their allocations are
      not per-operation and are skipped entirely. *)
@@ -48,9 +48,8 @@ let kind_name = function
   | Try -> "try handler"
 
 (* Sites that allocate per evaluation; the others are dispatch/control
-   findings.  Only these count toward a probe's static allocation tally
-   when Hotbudget decides whether a measured nonzero is a calibration
-   gap. *)
+   findings.  Only these count toward a probe's static allocation tally,
+   which the hot-path report shows next to the measured number. *)
 let is_alloc = function
   | Closure | Cons | Tuple | Record | Array_lit | Ref | Str -> true
   | Poly | Indirect | Raise | Try -> false

@@ -1,7 +1,7 @@
 (** Allocation-site inference over the Parsetree, for the H00x hot-path
     family.  Syntactic only: partial application and stdlib-internal
-    boxing are invisible here — the dynamic cross-validation against
-    measured minor-words-per-op (Hotbudget) is the backstop for both. *)
+    boxing are invisible here — the measured minor-words-per-op budgets
+    (Hotbudget) are the backstop for both. *)
 
 type kind =
   | Closure  (** [fun]/[function] evaluated at runtime *)

@@ -191,20 +191,18 @@ let check_ident ctx loc path =
             Lazyctrl_util.Det.iter_sorted/fold_sorted/bindings_sorted, or \
             pipe the result straight into List.sort"
            (String.concat "." path)))
-  else if is_random_path path then (
-    if not (Rules.random_sanctuary ctx.file) then
-      emit ctx ~loc ~rule:Rules.d_raw_random ~severity:Finding.Error
-        (Printf.sprintf
-           "%s bypasses the seeded simulation PRNG; draw from a \
-            Lazyctrl_util.Prng stream (Prng.named for a stable substream)"
-           (String.concat "." path)))
-  else if is_wall_clock_path path then (
-    if not (Rules.clock_sanctuary ctx.file) then
-      emit ctx ~loc ~rule:Rules.d_wall_clock ~severity:Finding.Error
-        (Printf.sprintf
-           "%s reads the host clock; simulated time must come from \
-            Lazyctrl_sim.Time / Engine.now"
-           (String.concat "." path)))
+  else if is_random_path path then
+    emit ctx ~loc ~rule:Rules.d_raw_random ~severity:Finding.Error
+      (Printf.sprintf
+         "%s bypasses the seeded simulation PRNG; draw from a \
+          Lazyctrl_util.Prng stream (Prng.named for a stable substream)"
+         (String.concat "." path))
+  else if is_wall_clock_path path then
+    emit ctx ~loc ~rule:Rules.d_wall_clock ~severity:Finding.Error
+      (Printf.sprintf
+         "%s reads the host clock; simulated time must come from \
+          Lazyctrl_sim.Time / Engine.now"
+         (String.concat "." path))
   else if is_poly_compare_path path then
     emit ctx ~loc ~rule:Rules.a_poly_compare ~severity:Finding.Warning
       "polymorphic compare; use the keyed module's compare (Int.compare, \

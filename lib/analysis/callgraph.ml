@@ -1,5 +1,5 @@
 (* Cross-module reference index and call graph for the whole-program
-   passes (Effects, Layering, Deadcode).
+   passes (Layering, Deadcode, Hotpath).
 
    Built purely from Parsetrees — no typing environment — so resolution
    is name-based and follows this repo's conventions:
@@ -13,7 +13,8 @@
    Lazyctrl_util.Det]) and sibling modules of the same library provide
    the remaining candidates, in that order.  Where the analysis cannot
    resolve a name it errs on the side of *more* references (deadcode
-   stays conservative) and *fewer* call edges (effects stay precise). *)
+   stays conservative) and *fewer* call edges (hot-path reachability
+   stays precise). *)
 
 open Parsetree
 

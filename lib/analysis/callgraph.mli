@@ -1,5 +1,5 @@
 (** Cross-module reference index and call graph for the whole-program
-    passes ({!Effects}, {!Layering}, {!Deadcode}).
+    passes ({!Layering}, {!Deadcode}, {!Hotpath}).
 
     Built purely from Parsetrees — no typing environment — so resolution
     is name-based and follows this repo's conventions:
@@ -7,7 +7,7 @@
     bin/bench/examples files are standalone modules.  Where a name
     cannot be resolved, the index errs on the side of {e more}
     references (deadcode stays conservative) and {e fewer} call edges
-    (effects stay precise). *)
+    (hot-path reachability stays precise). *)
 
 type ref_kind = Value | Type | Module | Open
 

@@ -1,16 +1,13 @@
 (* Lint driver: walks the source tree, parses every file ONCE into a
    shared cache, then feeds the same Parsetrees to all consumers — the
-   per-file rules (D/A, module-level state), the whole-program protocol
-   checks, and the call-graph passes (effect inference, layering,
-   interface hygiene, hot paths) — and filters the result through the
-   allowlist.
+   per-file rules (D/A, module-level state), the protocol coverage
+   check, and the call-graph passes (layering, interface hygiene, hot
+   paths) — and filters the result through the allowlist.
 
    Family scoping: [families] restricts which rule families run (the
-   CLI's [--rules D,E,...] flag).  Per-file AST scanning still runs
-   whenever the E family is selected, because effect inference seeds
-   from the D-rule hazard sites; its findings are then filtered to the
-   selected families.  Allowlist entries whose family did not run are
-   exempt from staleness (they never had the chance to match). *)
+   CLI's [--rules D,L,...] flag).  Allowlist entries whose family did
+   not run are exempt from staleness (they never had the chance to
+   match). *)
 
 type report = {
   findings : Finding.t list;  (* gating: unallowlisted + malformed allowlist *)
@@ -76,14 +73,13 @@ let parse_cached ~root rel =
 let cache_find cache rel =
   List.find_opt (fun c -> String.equal c.c_file rel) cache
 
-(* --- whole-program protocol checks ---------------------------------------- *)
+(* --- protocol coverage ------------------------------------------------------ *)
 
 let proto_file = "lib/switch/proto.ml"
-let failover_file = "lib/controller/failover.ml"
 let handler_files = [ "lib/switch/edge_switch.ml"; "lib/controller/controller.ml" ]
 
-(* Structure for [rel] out of the shared cache: the protocol checks are
-   consumers of the same single parse as everything else. *)
+(* Structure for [rel] out of the shared cache: the protocol check is a
+   consumer of the same single parse as everything else. *)
 let structure_of cache rel =
   match cache_find cache rel with
   | None -> Error (Printf.sprintf "%s does not exist" rel)
@@ -97,42 +93,32 @@ let protocol_findings_cached cache =
   let fail ~rule msg =
     [ Finding.make ~file:"." ~line:1 ~rule ~severity:Finding.Error msg ]
   in
-  let failover =
-    match structure_of cache failover_file with
-    | Ok s -> Proto_rules.check_failover ~file:failover_file s
-    | Error msg ->
-        fail ~rule:Rules.p_failover_table
-          (Printf.sprintf "cannot verify the failure-inference table: %s" msg)
-  in
-  let coverage =
-    match structure_of cache proto_file with
-    | Error msg ->
-        fail ~rule:Rules.p_proto_coverage
-          (Printf.sprintf "cannot verify message coverage: %s" msg)
-    | Ok proto_structure ->
-        let handlers, errors =
-          List.fold_left
-            (fun (hs, errs) rel ->
-              match structure_of cache rel with
-              | Ok s -> ((rel, s) :: hs, errs)
-              | Error msg ->
-                  ( hs,
-                    fail ~rule:Rules.p_proto_coverage
-                      (Printf.sprintf "cannot verify message coverage: %s" msg)
-                    @ errs ))
-            ([], []) handler_files
-        in
-        errors
-        @ Proto_rules.check_coverage
-            ~proto:(proto_file, proto_structure)
-            ~handlers:(List.rev handlers) ()
-  in
-  failover @ coverage
+  match structure_of cache proto_file with
+  | Error msg ->
+      fail ~rule:Rules.p_proto_coverage
+        (Printf.sprintf "cannot verify message coverage: %s" msg)
+  | Ok proto_structure ->
+      let handlers, errors =
+        List.fold_left
+          (fun (hs, errs) rel ->
+            match structure_of cache rel with
+            | Ok s -> ((rel, s) :: hs, errs)
+            | Error msg ->
+                ( hs,
+                  fail ~rule:Rules.p_proto_coverage
+                    (Printf.sprintf "cannot verify message coverage: %s" msg)
+                  @ errs ))
+          ([], []) handler_files
+      in
+      errors
+      @ Proto_rules.check_coverage
+          ~proto:(proto_file, proto_structure)
+          ~handlers:(List.rev handlers) ()
 
 (* Convenience for tests: parse the protocol files under [root] and run
-   the same checks the @lint alias runs. *)
+   the same check the @lint alias runs. *)
 let protocol_findings ~root =
-  let rels = proto_file :: failover_file :: handler_files in
+  let rels = proto_file :: handler_files in
   let cache =
     List.filter_map
       (fun rel ->
@@ -165,20 +151,16 @@ let run ?(families = Rules.families) ~root ~allow_path () =
         | Error msg -> Some (c.c_file, msg))
       cache
   in
-  (* Per-file pass: AST findings are computed whenever D/A or E runs (E
-     seeds from the D hazard sites) and reported under D/A. *)
-  let need_ast = sel "D" || sel "A" || sel "E" in
-  let ast_findings =
-    if not need_ast then []
+  let per_file =
+    if not (sel "D" || sel "A") then []
     else
-      List.filter_map
+      List.concat_map
         (fun c ->
           match c.c_parse with
-          | Ok s -> Some (c.c_file, Ast_rules.scan ~file:c.c_file s)
-          | Error _ -> None)
+          | Ok s -> Ast_rules.scan ~file:c.c_file s
+          | Error _ -> [])
         cache
   in
-  let per_file = List.concat_map snd ast_findings in
   let module_state =
     if not (sel "S") then []
     else
@@ -193,7 +175,7 @@ let run ?(families = Rules.families) ~root ~allow_path () =
   (* Whole-program passes over the shared call graph. *)
   let cg_notes = ref [] in
   let whole_program =
-    if not (sel "E" || sel "L" || sel "X" || sel "H") then []
+    if not (sel "L" || sel "X" || sel "H") then []
     else begin
       let parsed =
         List.filter_map
@@ -221,10 +203,6 @@ let run ?(families = Rules.families) ~root ~allow_path () =
                 (fun n -> (fi.Callgraph.f_file, n))
                 fi.Callgraph.f_notes)
           (Callgraph.files cg);
-      let e =
-        if sel "E" then Effects.findings (Effects.infer cg ~ast_findings)
-        else []
-      in
       let l = if sel "L" then Layering.check cg else [] in
       let x =
         if sel "X" then begin
@@ -253,7 +231,7 @@ let run ?(families = Rules.families) ~root ~allow_path () =
           Hotpath.check ~spec:Hotspec.default ~cg ~structures:parsed ()
         else []
       in
-      e @ l @ x @ h
+      l @ x @ h
     end
   in
   let all =
@@ -317,10 +295,10 @@ let report_to_json report =
 
 (* The `make lint-hotpath` gate (_build/hotpath-report.json): the static
    H00x verdict per probe next to its committed budget and the measured
-   minor-words-per-op, with the cross-validation findings (H004/H005)
-   filtered through the same allowlist as everything else.  [measured]
-   comes from a lib/perf report produced by bench/main.exe's hotpath
-   targets; reading that file is the CLI's job. *)
+   minor-words-per-op, with the budget findings (H005) filtered through
+   the same allowlist as everything else.  [measured] comes from a
+   lib/perf report produced by bench/main.exe's hotpath targets; reading
+   that file is the CLI's job. *)
 type hotpath_report = {
   hp_probes : Hotpath.probe_status list;
   hp_rows : Hotbudget.row list;

@@ -1,7 +1,7 @@
 (** Lint driver: walks the source tree, parses every file once into a
     shared cache, feeds the same Parsetrees to the per-file rules, the
-    protocol checks and the call-graph passes, and filters the result
-    through the allowlist. *)
+    protocol coverage check and the call-graph passes, and filters the
+    result through the allowlist. *)
 
 type report = {
   findings : Finding.t list;
@@ -20,7 +20,7 @@ type report = {
     does not parse. *)
 val lint_source : file:string -> src:string -> (Finding.t list, string) result
 
-(** Protocol checks against the tree under [root] — the same checks the
+(** Protocol coverage against the tree under [root] — the same check the
     @lint alias runs, exposed for tests. *)
 val protocol_findings : root:string -> Finding.t list
 
@@ -35,7 +35,7 @@ val clean : report -> bool
 
 val report_to_json : report -> string
 
-(** The H00x cross-validation report ([make lint-hotpath],
+(** The H00x hot-path report ([make lint-hotpath],
     [_build/hotpath-report.json]): the static verdict per probe next to
     its committed budget and the measured minor-words-per-op, findings
     filtered through the same allowlist as everything else. *)

@@ -26,4 +26,4 @@ val compare : t -> t -> int
 val to_string : t -> string
 
 val severity_string : severity -> string
-(** ["error"] or ["warning"], as the JSON and SARIF reports spell it. *)
+(** ["error"] or ["warning"], as the JSON reports spell it. *)

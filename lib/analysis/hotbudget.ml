@@ -1,20 +1,12 @@
-(* Dynamic cross-validation for the H00x family: the static verdict from
-   Hotpath is never trusted unverified.  Each probe declared in the
+(* The measured half of the H00x family.  Each probe declared in the
    hot-path spec is run by bench/main.exe's hotpath targets under
    lib/perf's allocation counters, and the measured minor-words-per-op is
    judged against a committed per-probe budget file (HOTPATH_budget).
 
-   Disagreement is reported both ways:
-
-   H004 — calibration gap: the probe is statically clean (zero H001-class
-   sites reachable, allowlisted or not) but measures above the noise
-   epsilon.  The allocation is invisible to the Parsetree analysis —
-   runtime boxing, stdlib internals, partial application — and a gap is a
-   finding, not a pass.
-
    H005 — budget defects: a measured probe over its committed budget (an
-   allocation regression), a declared probe with no budget or no
-   measurement, a budget entry for a probe the spec no longer declares.
+   allocation regression, whether or not the Parsetree analysis can see
+   the allocation), a declared probe with no budget or no measurement, a
+   budget entry for a probe the spec no longer declares.
 
    This module is pure bookkeeping over (probe, words/op) pairs; reading
    the measured numbers out of a perf report is the CLI's job, so
@@ -23,13 +15,13 @@
 type entry = { e_probe : string; e_words : float; e_line : int }
 
 (* Measured minor words/op below this is counter noise, not an
-   allocation: a single boxed option costs 2 words/op, well above it. *)
+   allocation: a single boxed option costs 2 words/op, well above it.
+   It only names the verdict; the budget compare itself is exact. *)
 let epsilon = 0.05
 
 type verdict =
   | Clean  (** statically allocation-free and measured quiet *)
-  | Within_budget  (** statically allocating, measured within budget *)
-  | Calibration_gap  (** statically clean but measured allocating (H004) *)
+  | Within_budget  (** measured allocating, within budget *)
   | Over_budget  (** measured above the committed budget (H005) *)
   | Unmeasured  (** declared but not measured (H005) *)
   | Unbudgeted  (** declared and measured but no committed budget (H005) *)
@@ -37,7 +29,6 @@ type verdict =
 let verdict_name = function
   | Clean -> "clean"
   | Within_budget -> "within-budget"
-  | Calibration_gap -> "calibration-gap"
   | Over_budget -> "over-budget"
   | Unmeasured -> "unmeasured"
   | Unbudgeted -> "unbudgeted"
@@ -93,7 +84,7 @@ let parse content =
     (String.split_on_char '\n' content);
   (List.rev !entries, List.rev !errs)
 
-(* --- the cross-validation -------------------------------------------------- *)
+(* --- the budget check -------------------------------------------------------- *)
 
 let evaluate ~budget_file ~(probes : Hotpath.probe_status list) ~budget
     ~measured =
@@ -115,7 +106,6 @@ let evaluate ~budget_file ~(probes : Hotpath.probe_status list) ~budget
       (fun (p : Hotpath.probe_status) ->
         let b = Hashtbl.find_opt seen p.Hotpath.p_probe in
         let m = List.assoc_opt p.Hotpath.p_probe measured in
-        (* budget regression / bookkeeping *)
         (match (b, m) with
         | None, _ ->
             emit ~file:budget_file ~line:1 ~rule:Rules.h_alloc_budget
@@ -129,8 +119,8 @@ let evaluate ~budget_file ~(probes : Hotpath.probe_status list) ~budget
               ~severity:Finding.Error
               (Printf.sprintf
                  "probe '%s' was not measured; run the bench hotpath \
-                  targets (make lint-hotpath) so the static verdict is \
-                  cross-validated"
+                  targets (make lint-hotpath) so it is judged against \
+                  its budget"
                  p.Hotpath.p_probe)
         | Some e, Some words when words > e.e_words ->
             emit ~file:budget_file ~line:e.e_line ~rule:Rules.h_alloc_budget
@@ -141,26 +131,10 @@ let evaluate ~budget_file ~(probes : Hotpath.probe_status list) ~budget
                   the budget deliberately, saying what grew)"
                  p.Hotpath.p_probe words e.e_words)
         | Some _, Some _ -> ());
-        (* calibration gap: statically clean but measured allocating *)
-        (match m with
-        | Some words when p.Hotpath.p_alloc_sites = 0 && words > epsilon ->
-            emit ~file:p.Hotpath.p_file ~line:p.Hotpath.p_line
-              ~rule:Rules.h_alloc_calibration ~severity:Finding.Error
-              (Printf.sprintf
-                 "probe '%s' is statically clean but measures %.2f minor \
-                  words/op: the allocation is invisible to the Parsetree \
-                  analysis (runtime boxing, stdlib internals, partial \
-                  application) — find and fix it, or allowlist this \
-                  calibration gap naming the source"
-                 p.Hotpath.p_probe words)
-        | _ -> ());
         let r_verdict =
           match (b, m) with
           | _, None -> Unmeasured
           | Some e, Some words when words > e.e_words -> Over_budget
-          | _, Some words when p.Hotpath.p_alloc_sites = 0 && words > epsilon
-            ->
-              Calibration_gap
           | None, Some _ -> Unbudgeted
           | Some _, Some words ->
               if p.Hotpath.p_alloc_sites = 0 && words <= epsilon then Clean

@@ -1,19 +1,18 @@
-(** Dynamic cross-validation for the H00x family: measured
-    minor-words-per-op per probe against the committed budget file, and
-    against the static verdict from {!Hotpath} — disagreement both ways
-    is a finding (H004 calibration gap, H005 budget defects).  Pure
-    bookkeeping over (probe, words/op) pairs; no perf dependency. *)
+(** The measured half of the H00x family: measured minor-words-per-op
+    per probe against the committed budget file; an excess or a gap in
+    the bookkeeping is an H005 finding.  Pure bookkeeping over (probe,
+    words/op) pairs; no perf dependency. *)
 
 type entry = { e_probe : string; e_words : float; e_line : int }
 
 (** Measured minor words/op at or below this is counter noise; a single
-    boxed option costs 2 words/op, well above it. *)
+    boxed option costs 2 words/op, well above it.  It separates the
+    [Clean] verdict from [Within_budget]. *)
 val epsilon : float
 
 type verdict =
   | Clean
   | Within_budget
-  | Calibration_gap
   | Over_budget
   | Unmeasured
   | Unbudgeted
@@ -32,7 +31,7 @@ type row = {
     comments): entries plus parse errors as messages. *)
 val parse : string -> entry list * string list
 
-(** One row per declared probe plus the H004/H005 findings.
+(** One row per declared probe plus the H005 findings.
     [budget_file] is the repo-relative path findings attribute to;
     [measured] maps probe name to measured minor words/op. *)
 val evaluate :

@@ -1,5 +1,5 @@
 (* Hot-path allocation-discipline checks (H00x): the code against the
-   Hotspec — whole-program, over the same Callgraph the E/L/X passes
+   Hotspec — whole-program, over the same Callgraph the L/X passes
    use.
 
    H000 — the spec itself is malformed: validation defects, a hot entry
@@ -9,7 +9,7 @@
 
    H001 — an allocation site (Allocsites) inside a definition reachable
    from a hot entry without an intervening cold boundary.  The finding
-   carries a witness call chain from the entry, like E001.
+   carries a witness call chain from the entry.
 
    H002 — polymorphic compare/hash or a call through a record field /
    array element on a hot path: dynamic dispatch the inliner cannot see
@@ -18,9 +18,9 @@
    H003 — exception-based control flow (raise or try...with) inside the
    hot region.
 
-   The static verdict is never trusted unverified: Hotbudget
-   cross-validates each probe against measured minor-words-per-op from
-   bench/main.exe's hotpath targets (H004/H005). *)
+   The measured half is Hotbudget: each probe's minor-words-per-op from
+   bench/main.exe's hotpath targets against its committed budget
+   (H005). *)
 
 let spec_file = "lib/analysis/hotspec.ml"
 
@@ -70,8 +70,6 @@ let format_chain parent ~from ~target =
 type probe_status = {
   p_probe : string;
   p_entries : string list;  (** resolved hot-entry def ids *)
-  p_file : string;  (** first entry's file, for H004 attribution *)
-  p_line : int;
   p_alloc_sites : int;
       (** H001-class sites statically reachable, allowlisted or not:
           zero means the probe claims to be allocation-free *)
@@ -222,7 +220,7 @@ let analyze ~(spec : Hotspec.spec) ~cg ~structures () =
                       (Hashtbl.find_opt sites_of_def d.Callgraph.d_id))))
         fi.Callgraph.f_defs)
     (Callgraph.files cg);
-  (* Per-probe static tally, for the Hotbudget cross-validation. *)
+  (* Per-probe static tally, reported next to the measured numbers. *)
   let probes =
     List.map
       (fun probe ->
@@ -231,14 +229,6 @@ let analyze ~(spec : Hotspec.spec) ~cg ~structures () =
             (fun (e : Hotspec.entry) ->
               String.equal e.Hotspec.h_probe probe)
             order
-        in
-        let file, line =
-          match entries with
-          | e :: _ -> (
-              match Callgraph.find_def cg e.Hotspec.h_id with
-              | Some d -> (d.Callgraph.d_file, d.Callgraph.d_line)
-              | None -> (spec_file, 1))
-          | [] -> (spec_file, 1)
         in
         let reached_by_probe id =
           List.exists
@@ -263,8 +253,6 @@ let analyze ~(spec : Hotspec.spec) ~cg ~structures () =
         {
           p_probe = probe;
           p_entries = List.map (fun (e : Hotspec.entry) -> e.Hotspec.h_id) entries;
-          p_file = file;
-          p_line = line;
           p_alloc_sites = alloc_sites;
         })
       (Hotspec.probes spec)

@@ -6,14 +6,12 @@
     an intervening cold boundary, H002 polymorphic primitives or
     first-class-function indirection on a hot path, H003 exception-based
     control flow in the hot region.  Findings carry witness call chains
-    in the E001 style.  {!Hotbudget} cross-validates the per-probe
-    static tally against measured minor-words-per-op. *)
+    from the hot entry.  {!Hotbudget} reports the per-probe static tally
+    next to the measured minor-words-per-op. *)
 
 type probe_status = {
   p_probe : string;
   p_entries : string list;  (** resolved hot-entry def ids *)
-  p_file : string;  (** first entry's file, for H004 attribution *)
-  p_line : int;
   p_alloc_sites : int;
       (** H001-class sites statically reachable, allowlisted or not:
           zero means the probe claims to be allocation-free *)

@@ -11,8 +11,8 @@
 
    A hot entry names a definition (Callgraph's naming) whose whole static
    call region must be allocation-free, and ties it to a measurement
-   probe (a bench/main.exe hotpath target name) so the static verdict is
-   cross-validated against measured minor-words-per-op (Hotbudget).  A
+   probe (a bench/main.exe hotpath target name) whose measured
+   minor-words-per-op is judged against a committed budget (Hotbudget).  A
    cold boundary names a definition where the discipline deliberately
    stops — reachable from a hot entry but excused, with a written
    justification (cold-start growth, first-packet learning, the punt

@@ -1,8 +1,5 @@
-(** Whole-program protocol invariants (P00x): the wheel failure-inference
-    table stays total and consistent with the paper, and every [Proto]
-    message constructor is matched explicitly in both handlers. *)
-
-val check_failover : file:string -> Parsetree.structure -> Finding.t list
+(** Protocol coverage (P002): every [Proto] message constructor is
+    matched explicitly in both handlers. *)
 
 (** [check_coverage ~proto ~handlers ()] checks that every constructor
     of [proto]'s variant [type_name] (default ["t"]) appears in a

@@ -1,9 +1,8 @@
 (** Rule identifiers and shared scoping knobs for the lint pass.
 
-    Families: D00x determinism, A00x abstraction safety, P00x protocol
-    invariants, E00x interprocedural effects, L00x layering, X00x
-    interface hygiene, S001 module-level state, H00x hot-path allocation
-    discipline.  See README "Static analysis" for the rule table. *)
+    Families: D00x determinism, A00x abstraction safety, P002 protocol
+    coverage, L00x layering, X00x interface hygiene, S001 module-level
+    state, H00x hot-path allocation discipline.  See README "Static analysis" for the rule table. *)
 
 val d_hashtbl_order : string
 val d_raw_random : string
@@ -12,11 +11,7 @@ val d_float_eq : string
 val a_poly_compare : string
 val a_poly_hash : string
 val a_poly_eq : string
-val p_failover_table : string
 val p_proto_coverage : string
-val e_indirect_random : string
-val e_indirect_clock : string
-val e_indirect_order : string
 val l_layering : string
 val l_lazy_separation : string
 val x_dead_export : string
@@ -26,7 +21,6 @@ val h_spec : string
 val h_hot_alloc : string
 val h_hot_indirect : string
 val h_hot_raise : string
-val h_alloc_calibration : string
 val h_alloc_budget : string
 
 (** Every rule id, in family order. *)
@@ -46,16 +40,6 @@ val has_suffix : suffix:string -> string -> bool
 
 (** Whitespace-separated words of a line (spaces and tabs). *)
 val split_ws : string -> string list
-
-(** The one module allowed to draw raw randomness (the seeded PRNG). *)
-val random_sanctuary : string -> bool
-
-(** The one module allowed to touch host clocks (simulated time). *)
-val clock_sanctuary : string -> bool
-
-(** The one module whose raw hash-table folds are sanctioned (Det's
-    key-snapshot primitives sort before observing). *)
-val order_sanctuary : string -> bool
 
 (** Record fields whose comparison with polymorphic [=] almost certainly
     wants the keyed module's [equal]. *)
