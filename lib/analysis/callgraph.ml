@@ -38,7 +38,7 @@ type finfo = {
   f_file : string;
   f_lib : string option;  (* lib dir name for lib/<dir>/... files *)
   f_mod : string;
-  f_aux : bool;  (* reference-only file (test/): counts uses, yields no findings *)
+  f_aux : bool;  (* reference-only file (test/, benchmark/): counts uses, yields no findings *)
   f_opens : string list list;  (* toplevel opens, latest first *)
   f_aliases : (string * string list) list;  (* module alias -> absolutized target *)
   f_refs : fref list;  (* every longident with a location, for layering *)
@@ -162,7 +162,12 @@ let collect_body ?(note = fun (_ : string) -> ()) e =
   let expr (it : Ast_iterator.iterator) e =
     match e.pexp_desc with
     | Pexp_letmodule (name, me, body) ->
-        uses := List.map rewrite (module_idents me) @ !uses;
+        (* a plain [let module M = Path in] is an alias, resolved through
+           [rewrite] like the structure-level [module M = Path]; only a
+           functor application uses its modules opaquely *)
+        (match me.pmod_desc with
+        | Pmod_ident _ -> ()
+        | _ -> uses := List.map rewrite (module_idents me) @ !uses);
         Ast_iterator.default_iterator.module_expr it me;
         (match (name.txt, local_module_head me) with
         | Some n, Some target ->

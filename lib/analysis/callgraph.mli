@@ -36,7 +36,7 @@ type finfo = {
   f_file : string;
   f_lib : string option;  (** lib dir name for lib/<dir>/... files *)
   f_mod : string;
-  f_aux : bool;  (** reference-only (test/): counts uses, yields no findings *)
+  f_aux : bool;  (** reference-only (test/, benchmark/): counts uses, yields no findings *)
   f_opens : string list list;  (** toplevel opens, latest first *)
   f_aliases : (string * string list) list;
       (** module alias -> absolutized target *)

@@ -1,10 +1,11 @@
 (* Interface hygiene (X00x).
 
    X001 — dead exports: a [val] declared in a library's .mli that no
-   other scanned file (including the test suites, scanned
-   reference-only) ever names.  The export is the dead part — the value
-   may well be used inside its own module; the fix is to drop it from
-   the interface (or allowlist it with the reason the API keeps it).
+   other scanned file (including the test suites and the benchmark
+   project, scanned reference-only) ever names.  The export is the dead
+   part — the value may well be used inside its own module; the fix is
+   to drop it from the interface (or allowlist it with the reason the
+   API keeps it).
    Resolution is conservative: any opaque use of a module (functor
    argument, [include], first-class pack, re-exported alias) marks every
    export of that module as live, so only names with no plausible

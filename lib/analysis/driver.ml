@@ -20,12 +20,13 @@ type report = {
          resolve — the honest blind spots of the whole-program passes *)
 }
 
-(* Directories scanned for findings.  [test/] is scanned reference-only:
-   its uses keep library exports alive for X001, but fixtures there
-   exercise the rules and may use structural equality freely, so it
-   never yields findings. *)
+(* Directories scanned for findings.  [test/] and [benchmark/] are
+   scanned reference-only: their uses keep library exports alive for
+   X001, but fixtures there exercise the rules and may use structural
+   equality freely, and the benchmark is its own project, so they never
+   yield findings. *)
 let scan_dirs = [ "lib"; "bin"; "bench"; "examples" ]
-let aux_dirs = [ "test" ]
+let aux_dirs = [ "test"; "benchmark" ]
 
 let read_file path =
   let ic = open_in_bin path in

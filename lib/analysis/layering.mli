@@ -1,16 +1,8 @@
-(** Architecture layering enforcement (L00x).
-
-    L001 checks the declared lib-directory dependency spec
-    ({!allowed_deps}); L002 checks the paper's control-plane separation:
-    nothing under [lib/switch] may reference [Lazyctrl_controller] at
-    all, and [lib/controller] may reach into [Lazyctrl_switch] only
-    through the [Proto] message grammar. *)
-
-(** lib dir -> lib dirs it may reference.  Keep in sync with DESIGN.md's
-    "Analysis architecture" section and the dune library graph. *)
-val allowed_deps : (string * string list) list
-
-(** The only switch modules the controller may name. *)
-val controller_switch_surface : string list
+(** The paper's control-plane separation (L002): [lib/controller] may
+    reach into [Lazyctrl_switch] only through the [Proto] message
+    grammar.  The library graph itself is the compiler's: with
+    [implicit_transitive_deps] off, a library names only what its dune
+    [libraries] field lists, so [lib/switch] cannot reach
+    [Lazyctrl_controller] at all. *)
 
 val check : Callgraph.t -> Finding.t list

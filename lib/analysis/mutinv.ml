@@ -9,10 +9,9 @@
    domain running the module's code reads and writes the same value.
 
    This per-file pass reports each such binding in the code Network
-   instantiates per shard: [lib/core] and the libraries the layering
-   spec lets [core] reference.  Harness layers (experiments, perf,
-   chaos, the lint itself, bin/bench/examples) run outside the sharded
-   engine and stay out of scope. *)
+   instantiates per shard: every library under lib/ but the harness
+   layers (experiments, perf, chaos, the lint itself), which run outside
+   the sharded engine and stay out of scope, as do bin/bench/examples. *)
 
 open Parsetree
 
@@ -59,15 +58,13 @@ let rec creates_mutable e =
       || creates_mutable body
   | _ -> false
 
-(* The code Network instantiates per logical shard. *)
+(* The code Network instantiates per logical shard: every library but the
+   lint, the chaos and experiment harnesses above the network, and the
+   perf timer outside the simulation. *)
 let in_scope file =
   match Callgraph.lib_of_path file with
-  | Some "core" -> true
-  | Some d -> (
-      match List.assoc_opt "core" Layering.allowed_deps with
-      | Some deps -> List.exists (String.equal d) deps
-      | None -> false)
-  | None -> false
+  | Some ("analysis" | "chaos" | "experiments" | "perf") | None -> false
+  | Some _ -> true
 
 let binding_name pat =
   match pat.ppat_desc with

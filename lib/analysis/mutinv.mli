@@ -9,5 +9,5 @@
 val check : file:string -> Parsetree.structure -> Finding.t list
 (** One finding per mutable module-level binding, in source order, if
     [file] is code that Network instantiates per logical shard:
-    [lib/core], or a library {!Layering.allowed_deps} lets [core]
-    reference.  Empty for any other file. *)
+    every library under [lib/] except [analysis], [chaos], [experiments]
+    and [perf].  Empty for any other file. *)

@@ -7,9 +7,8 @@
      applied where a keyed module exports dedicated operations.
    - P002: protocol coverage — every controller/switch message is matched
      explicitly in both dispatchers.
-   - L00x: layering — the declared architecture spec, including the
-     paper's control-plane separation (switch never leans on controller
-     internals; the controller drives switches only through Proto).
+   - L002: the paper's control-plane separation — the controller drives
+     switches only through Proto (the compiler owns the library graph).
    - X00x: interface hygiene — dead exports and missing .mli files.
    - S001: module-level state — process-global mutable state in the code
      Network instantiates per logical shard (Mutinv), the one thing
@@ -26,7 +25,6 @@ let a_poly_compare = "A001-poly-compare"
 let a_poly_hash = "A002-poly-hash"
 let a_poly_eq = "A003-poly-eq"
 let p_proto_coverage = "P002-proto-coverage"
-let l_layering = "L001-layering"
 let l_lazy_separation = "L002-lazy-separation"
 let x_dead_export = "X001-dead-export"
 let x_missing_mli = "X002-missing-mli"
@@ -47,7 +45,6 @@ let all =
     a_poly_hash;
     a_poly_eq;
     p_proto_coverage;
-    l_layering;
     l_lazy_separation;
     x_dead_export;
     x_missing_mli;

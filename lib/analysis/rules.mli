@@ -1,8 +1,9 @@
 (** Rule identifiers and shared scoping knobs for the lint pass.
 
     Families: D00x determinism, A00x abstraction safety, P002 protocol
-    coverage, L00x layering, X00x interface hygiene, S001 module-level
-    state, H00x hot-path allocation discipline.  See README "Static analysis" for the rule table. *)
+    coverage, L002 control-plane separation, X00x interface hygiene,
+    S001 module-level state, H00x hot-path allocation discipline.  See
+    README "Static analysis" for the rule table. *)
 
 val d_hashtbl_order : string
 val d_raw_random : string
@@ -12,7 +13,6 @@ val a_poly_compare : string
 val a_poly_hash : string
 val a_poly_eq : string
 val p_proto_coverage : string
-val l_layering : string
 val l_lazy_separation : string
 val x_dead_export : string
 val x_missing_mli : string

@@ -44,36 +44,10 @@ let create ?(hashes = 4) ~bits () =
     k = hashes;
   }
 
-let optimal_bits ~expected ~fp_rate =
-  if expected <= 0 then invalid_arg "Bloom.optimal_bits: expected <= 0";
-  if fp_rate <= 0.0 || fp_rate >= 1.0 then
-    invalid_arg "Bloom.optimal_bits: fp_rate outside (0,1)";
-  let ln2 = Float.log 2.0 in
-  int_of_float
-    (Float.ceil (-.Float.of_int expected *. Float.log fp_rate /. (ln2 *. ln2)))
-
-let optimal_hashes ~bits ~expected =
-  if expected <= 0 then 1
-  else
-    max 1
-      (int_of_float
-         (Float.round (Float.of_int bits /. Float.of_int expected *. Float.log 2.0)))
-
-let create_for ~expected ~fp_rate =
-  let bits = optimal_bits ~expected ~fp_rate in
-  create ~hashes:(optimal_hashes ~bits ~expected) ~bits ()
-
 (* Bit [i] lives in byte [i lsr 3] at mask [1 lsl (i land 7)] — i.e. the
-   byte array is the little-endian image of the former int64 words, which
-   [to_bytes]/[of_bytes] rely on to keep the wire format. Probe indices
-   are always in [0, nbits), so byte indices are in bounds for the
-   unsafe accessors. *)
-
-let set_bit t i =
-  let b = i lsr 3 in
-  Bytes.unsafe_set t.bits b
-    (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get t.bits b) lor (1 lsl (i land 7))))
+   byte array is the little-endian image of 64-bit words, which [ones]
+   counts a word at a time. Probe indices are always in [0, nbits), so
+   byte indices are in bounds for the unsafe accessors. *)
 
 (* Top-level and fully applied, so the probe loops compile to direct
    calls: no closure or tuple is allocated per operation. *)
@@ -130,11 +104,6 @@ let mem t key =
     probe_mem t.bits t.k t.nbits (reduce h1 t.nbits mask)
       (reduce h2 t.nbits mask) 0
 
-let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
-
-let bits t = t.nbits
-let hashes t = t.k
-
 let popcount64 x =
   let rec go acc x =
     if x = 0L then acc else go (acc + 1) Int64.(logand x (sub x 1L))
@@ -150,81 +119,17 @@ let ones t =
 
 let fill_ratio t = Float.of_int (ones t) /. Float.of_int t.nbits
 
-let estimated_entries t =
-  let x = ones t in
-  if x = 0 then 0.0
-  else if x = t.nbits then infinity
-  else
-    let m = Float.of_int t.nbits and k = Float.of_int t.k in
-    -.(m /. k) *. Float.log (1.0 -. (Float.of_int x /. m))
-
 let estimated_fp_rate t = fill_ratio t ** Float.of_int t.k
 
-let union a b =
-  if a.nbits <> b.nbits || a.k <> b.k then
-    invalid_arg "Bloom.union: mismatched geometry";
-  let n = Bytes.length a.bits in
-  let bits = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.unsafe_set bits i
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get a.bits i)
-         lor Char.code (Bytes.unsafe_get b.bits i)))
-  done;
-  { a with bits }
-
-let copy t = { t with bits = Bytes.copy t.bits }
-
-let of_list ?hashes ~bits keys =
-  let t = create ?hashes ~bits () in
-  List.iter (add t) keys;
-  t
-
-(* Wire form is unchanged from the int64-array days: a big-endian
-   (k, nwords) header followed by the 64-bit words big-endian. Our byte
-   array is the little-endian word image, so each word is one
-   [get_int64_le] / [set_int64_be] pair away. *)
-
-let to_bytes t =
-  let nwords = Bytes.length t.bits / 8 in
-  let buf = Bytes.create (8 + (8 * nwords)) in
-  Bytes.set_int32_be buf 0 (Int32.of_int t.k);
-  Bytes.set_int32_be buf 4 (Int32.of_int nwords);
-  for w = 0 to nwords - 1 do
-    Bytes.set_int64_be buf (8 + (8 * w)) (Bytes.get_int64_le t.bits (8 * w))
-  done;
-  buf
-
-let of_bytes buf =
-  if Bytes.length buf < 8 then invalid_arg "Bloom.of_bytes: truncated header";
-  let k = Int32.to_int (Bytes.get_int32_be buf 0) in
-  let nwords = Int32.to_int (Bytes.get_int32_be buf 4) in
-  if k <= 0 || nwords <= 0 || Bytes.length buf <> 8 + (8 * nwords) then
-    invalid_arg "Bloom.of_bytes: malformed";
-  let bits = Bytes.create (8 * nwords) in
-  for w = 0 to nwords - 1 do
-    Bytes.set_int64_le bits (8 * w) (Bytes.get_int64_be buf (8 + (8 * w)))
-  done;
-  let nbits = nwords * 64 in
-  { bits; nbits; mask = pow2_mask nbits; k }
-
-let equal a b = a.k = b.k && a.nbits = b.nbits && Bytes.equal a.bits b.bits
-
-let pp fmt t =
-  Format.fprintf fmt "bloom(bits=%d k=%d fill=%.3f)" t.nbits t.k (fill_ratio t)
-
 module Counting = struct
-  type plain = t
-
-  let plain_create = create
-
   type nonrec t = { counters : Bytes.t; n : int; mask : int; k : int }
 
   let create ?(hashes = 4) ~counters () =
     if counters <= 0 then invalid_arg "Bloom.Counting.create: size must be positive";
     if hashes <= 0 then invalid_arg "Bloom.Counting.create: hashes must be positive";
-    (* Round up to a multiple of 64 so [to_plain] preserves the probe
-       positions ([h mod n] must agree between the two geometries). *)
+    (* Round up to a multiple of 64, as the plain filter does, so [size]
+       is the bit count of a plain filter probing the same positions
+       ([h mod n] agrees between the two geometries). *)
     let n = (counters + 63) / 64 * 64 in
     { counters = Bytes.make n '\000'; n; mask = pow2_mask n; k = hashes }
 
@@ -283,10 +188,5 @@ module Counting = struct
 
   let clear t = Bytes.fill t.counters 0 t.n '\000'
 
-  let to_plain t =
-    let plain = plain_create ~hashes:t.k ~bits:t.n () in
-    for i = 0 to t.n - 1 do
-      if Char.code (Bytes.unsafe_get t.counters i) > 0 then set_bit plain i
-    done;
-    plain
+  let size t = t.n
 end

@@ -7,9 +7,10 @@
     double hashing, so only two independent 64-bit hashes are computed per
     operation regardless of [k].
 
-    A {!Counting} variant supports deletion and backs the live, mutable
-    side of the state-advertisement pipeline; the plain filter is the
-    compact replica actually shipped to peers. *)
+    The G-FIB keeps {!Counting} filters, which support deletion: peers
+    advertise their L-FIBs as key lists, and each receiver adds and
+    removes those keys in place. The plain filter is what the storage
+    experiment fills from an L-FIB to estimate the false-positive rate. *)
 
 type t
 
@@ -19,56 +20,19 @@ val create : ?hashes:int -> bits:int -> unit -> t
     ~16 bits/entry tables.
     @raise Invalid_argument if [bits <= 0] or [hashes <= 0]. *)
 
-val create_for : expected:int -> fp_rate:float -> t
-(** Optimal sizing: picks [bits] and [hashes] for [expected] entries at the
-    target false-positive rate. *)
-
 val add : t -> int -> unit
 val mem : t -> int -> bool
 (** No false negatives; false positives at the designed rate. *)
 
-val clear : t -> unit
-val bits : t -> int
-val hashes : t -> int
-
 val fill_ratio : t -> float
 (** Fraction of bits set. *)
-
-val estimated_entries : t -> float
-(** Maximum-likelihood estimate of the number of distinct keys added, from
-    the fill ratio. *)
 
 val estimated_fp_rate : t -> float
 (** [(fill_ratio)^hashes] — the probability a random absent key tests
     positive given the current fill. *)
 
-val union : t -> t -> t
-(** Bitwise or. @raise Invalid_argument on mismatched geometry. *)
-
-val copy : t -> t
-
-val of_list : ?hashes:int -> bits:int -> int list -> t
-
-val to_bytes : t -> bytes
-(** Geometry header plus the bit array; the wire form disseminated over
-    peer links. *)
-
-val of_bytes : bytes -> t
-(** @raise Invalid_argument on malformed input. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-
-val optimal_bits : expected:int -> fp_rate:float -> int
-(** [m = ceil (-n ln p / (ln 2)^2)]. *)
-
-val optimal_hashes : bits:int -> expected:int -> int
-(** [k = round (m/n ln 2)], at least 1. *)
-
 module Counting : sig
   (** Counting Bloom filter with saturating 8-bit counters. *)
-
-  type plain = t
 
   type t
 
@@ -82,7 +46,7 @@ module Counting : sig
   val mem : t -> int -> bool
   val clear : t -> unit
 
-  val to_plain : t -> plain
-  (** Project to a plain filter of the same geometry (counter > 0 ⇒ bit
-      set); this is what gets shipped to peers. *)
+  val size : t -> int
+  (** Number of counters: the bit count of a plain filter that probes
+      the same positions. *)
 end

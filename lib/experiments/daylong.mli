@@ -15,9 +15,6 @@ type config_name =
   | Lazy_expanded_static
   | Lazy_expanded_dynamic
 
-val all_configs : config_name list
-val config_label : config_name -> string
-
 type run_result = {
   name : config_name;
   recorder : Recorder.t;

@@ -18,13 +18,6 @@ let part_weights g ~k a =
   Array.iteri (fun v p -> pw.(p) <- pw.(p) + Wgraph.vertex_weight g v) a;
   pw
 
-let balance g ~k a =
-  let pw = part_weights g ~k a in
-  let total = Array.fold_left ( + ) 0 pw in
-  if total = 0 then 1.0
-  else
-    Float.of_int (k * Array.fold_left max 0 pw) /. Float.of_int total
-
 let validate g ~k ?max_part_weight a =
   let n = Wgraph.n_vertices g in
   if Array.length a <> n then Error "assignment length mismatch"

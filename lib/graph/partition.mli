@@ -17,9 +17,6 @@ val edge_cut : Wgraph.t -> assignment -> float
 val normalized_cut : Wgraph.t -> assignment -> float
 (** [edge_cut / total_edge_weight], in [\[0,1\]]; 0 on an edgeless graph. *)
 
-val balance : Wgraph.t -> k:int -> assignment -> float
-(** [k * max part weight / total weight]; 1.0 is perfect balance. *)
-
 val validate :
   Wgraph.t -> k:int -> ?max_part_weight:int -> assignment -> (unit, string) result
 (** Checks assignment length, part-index range and the weight cap. *)

@@ -84,28 +84,10 @@ let iter_neighbors t u f =
     f t.adjncy.(i) t.adjwgt.(i)
   done
 
-let fold_neighbors t u f init =
-  let acc = ref init in
-  iter_neighbors t u (fun v w -> acc := f !acc v w);
-  !acc
-
 let iter_edges t f =
   for u = 0 to n_vertices t - 1 do
     iter_neighbors t u (fun v w -> if u < v then f u v w)
   done
-
-let edge_weight t u v =
-  fold_neighbors t u (fun acc x w -> if x = v then acc +. w else acc) 0.0
-
-let weight_between t xs ys =
-  let in_y = Hashtbl.create (List.length ys) in
-  List.iter (fun y -> Hashtbl.replace in_y y ()) ys;
-  List.fold_left
-    (fun acc x ->
-      fold_neighbors t x
-        (fun acc v w -> if Hashtbl.mem in_y v then acc +. w else acc)
-        acc)
-    0.0 xs
 
 let induced t vs =
   let n' = Array.length vs in

@@ -44,12 +44,6 @@ val iter_neighbors : t -> int -> (int -> float -> unit) -> unit
 val iter_edges : t -> (int -> int -> float -> unit) -> unit
 (** Each undirected edge visited once with [u < v]. *)
 
-val edge_weight : t -> int -> int -> float
-(** 0 when not adjacent. O(degree). *)
-
-val weight_between : t -> int list -> int list -> float
-(** Total weight of edges with one endpoint in each (disjoint) set. *)
-
 val induced : t -> int array -> t * int array
 (** [induced g vs] is the subgraph on the vertices [vs] (in the given
     order: new vertex [i] is [vs.(i)]) together with the mapping back to

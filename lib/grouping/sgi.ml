@@ -174,17 +174,3 @@ let inc_update_batch ~rng ~limit ?(domains = 1) ~intensity grouping =
               Array.iteri (fun i sw -> a.(sw) <- labels.(i)) switches)
         results;
       if !improved then Some (Grouping.of_assignment a) else None
-
-let converge ~rng ~limit ~intensity ~load ~threshold_high ~threshold_low
-    ~max_iterations grouping =
-  let rec loop grouping applied iters =
-    if iters >= max_iterations then (grouping, applied)
-    else if load grouping <= threshold_high then (grouping, applied)
-    else
-      match inc_update ~rng ~limit ~intensity grouping with
-      | None -> (grouping, applied)
-      | Some grouping' ->
-          if load grouping' < threshold_low then (grouping', applied + 1)
-          else loop grouping' (applied + 1) (iters + 1)
-  in
-  loop grouping 0 0

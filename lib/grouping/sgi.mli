@@ -8,11 +8,8 @@
     [inc_update] is one iteration of the background refinement: pick the
     two groups exchanging the most traffic (optionally, whose exchange
     *grew* the most against a previous intensity graph), merge them, and
-    re-split the merged subgraph with a size-constrained min-cut
-    bisection (Stoer–Wagner-guided, per [29]).
-
-    [converge] iterates [inc_update] while a load signal stays above a
-    threshold, mirroring the pseudocode's outer loop. *)
+    re-split the merged subgraph with {!Partition.bisect}, the
+    size-constrained multilevel min-cut bisection. *)
 
 open Lazyctrl_graph
 module Prng = Lazyctrl_util.Prng
@@ -54,17 +51,3 @@ val inc_update_batch :
     sequential but still batched). Each pair's subproblem is independent,
     so the result is deterministic for a given seed regardless of
     [domains]. [None] when no pair's re-split improves the cut. *)
-
-val converge :
-  rng:Prng.t ->
-  limit:int ->
-  intensity:Wgraph.t ->
-  load:(Grouping.t -> float) ->
-  threshold_high:float ->
-  threshold_low:float ->
-  max_iterations:int ->
-  Grouping.t ->
-  Grouping.t * int
-(** Iterate while [load grouping > threshold_high], stopping early once it
-    falls below [threshold_low] or an iteration makes no progress. Returns
-    the final grouping and the number of applied updates. *)

@@ -11,7 +11,3 @@ let make ~id ~tenant =
 
 let compare a b = Ids.Host_id.compare a.id b.id
 let equal a b = Ids.Host_id.equal a.id b.id
-
-let pp fmt t =
-  Format.fprintf fmt "%a(%a,%a,%a)" Ids.Host_id.pp t.id Mac.pp t.mac Ipv4.pp
-    t.ip Ids.Tenant_id.pp t.tenant

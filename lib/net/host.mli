@@ -16,4 +16,3 @@ val compare : t -> t -> int
 (** By id. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

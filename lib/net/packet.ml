@@ -83,10 +83,6 @@ let data ~(src : Host.t) ~(dst : Host.t) ?vlan ?(protocol = 6) ?(src_port = 0)
 
 let encap ~outer_src ~outer_dst inner = Encap { outer_src; outer_dst; inner }
 
-let decap = function
-  | Encap { inner; _ } -> inner
-  | Plain _ -> invalid_arg "Packet.decap: plain frame"
-
 let eth_of = function Plain e -> e | Encap { inner; _ } -> inner
 
 let is_broadcast t = Mac.is_broadcast (eth_of t).dst
@@ -95,7 +91,7 @@ let is_broadcast t = Mac.is_broadcast (eth_of t).dst
    eth   := dst(6) src(6) [0x8100 vlan(2)] ethertype(2) body
    arp   := op(1) smac(6) sip(4) tmac(6) tip(4)
    ipv4  := sip(4) dip(4) proto(1) sport(2) dport(2) len(4)
-   encap := 0xE5CA marker(2) osrc(4) odst(4) eth *)
+   The encapsulation header around an eth is Wire's (write_packet). *)
 
 let eth_header_size e = 12 + (match e.vlan with Some _ -> 4 | None -> 0) + 2
 
@@ -133,7 +129,7 @@ module Reader = struct
 
   let need r n =
     if r.pos + n > Bytes.length r.buf then
-      invalid_arg "Packet.of_bytes: truncated"
+      invalid_arg "Packet.read_eth_from: truncated"
 
   let u8 r =
     need r 1;
@@ -163,7 +159,6 @@ end
 
 let ethertype_arp = 0x0806
 let ethertype_ipv4 = 0x0800
-let encap_marker = 0xE5CA
 
 let write_eth w e =
   let open Writer in
@@ -191,25 +186,6 @@ let write_eth w e =
       u16 w p.dst_port;
       u32 w p.length
 
-let to_bytes t =
-  let size =
-    match t with
-    | Plain e -> eth_header_size e + (match e.payload with Arp _ -> 21 | Ipv4 _ -> 17)
-    | Encap { inner; _ } ->
-        10 + eth_header_size inner
-        + (match inner.payload with Arp _ -> 21 | Ipv4 _ -> 17)
-  in
-  let w = { Writer.buf = Bytes.create size; pos = 0 } in
-  (match t with
-  | Plain e -> write_eth w e
-  | Encap { outer_src; outer_dst; inner } ->
-      Writer.u16 w encap_marker;
-      Writer.ip w outer_src;
-      Writer.ip w outer_dst;
-      write_eth w inner);
-  assert (w.Writer.pos = size);
-  w.Writer.buf
-
 let read_eth r =
   let open Reader in
   let dst = mac r in
@@ -227,7 +203,7 @@ let read_eth r =
         match u8 r with
         | 1 -> Request
         | 2 -> Reply
-        | _ -> invalid_arg "Packet.of_bytes: bad ARP op"
+        | _ -> invalid_arg "Packet.read_eth_from: bad ARP op"
       in
       let sender_mac = mac r in
       let sender_ip = ip r in
@@ -244,7 +220,7 @@ let read_eth r =
       let length = u32 r in
       Ipv4 { src_ip; dst_ip; protocol; src_port; dst_port; length }
     end
-    else invalid_arg "Packet.of_bytes: unknown ethertype"
+    else invalid_arg "Packet.read_eth_from: unknown ethertype"
   in
   { dst; src; vlan; payload }
 
@@ -260,19 +236,6 @@ let read_eth_from buf ~pos =
   let r = { Reader.buf; pos } in
   let e = read_eth r in
   (e, r.Reader.pos)
-
-let of_bytes buf =
-  let r = { Reader.buf; pos = 0 } in
-  if Bytes.length buf >= 2 && Bytes.get_uint16_be buf 0 = encap_marker then begin
-    let _marker = Reader.u16 r in
-    let outer_src = Reader.ip r in
-    let outer_dst = Reader.ip r in
-    let inner = read_eth r in
-    Encap { outer_src; outer_dst; inner }
-  end
-  else Plain (read_eth r)
-
-let equal a b = a = b
 
 let pp_payload fmt = function
   | Arp a ->

@@ -5,8 +5,9 @@
     a plain frame wrapped in a GRE-like outer IP header addressed to a
     remote edge switch's underlay endpoint.
 
-    A compact binary wire format is provided so that tables, channels and
-    Bloom filters can be exercised against realistic byte strings. *)
+    A header-only binary encoding of the Ethernet frame
+    ({!write_eth_to}/{!read_eth_from}) is what the control-channel codec
+    embeds in its messages. *)
 
 type arp_op = Request | Reply
 
@@ -55,9 +56,6 @@ val encap : outer_src:Ipv4.t -> outer_dst:Ipv4.t -> eth -> t
     indirectly (callers pass the inner [eth] explicitly, so this cannot
     nest). *)
 
-val decap : t -> eth
-(** @raise Invalid_argument on a plain frame. *)
-
 val eth_of : t -> eth
 (** The innermost Ethernet frame of either form. *)
 
@@ -65,15 +63,6 @@ val is_broadcast : t -> bool
 val size_on_wire : t -> int
 (** Logical on-wire size in bytes: all headers plus the carried payload
     length. Used for bandwidth accounting. *)
-
-val to_bytes : t -> bytes
-(** Header-only encoding — the synthetic payload body is represented by
-    its length field, not materialized, so [Bytes.length (to_bytes p)] is
-    [size_on_wire p] minus the payload length. *)
-
-val of_bytes : bytes -> t
-(** Inverse of {!to_bytes}.
-    @raise Invalid_argument on truncated or malformed input. *)
 
 val eth_encoded_size : eth -> int
 (** Exact number of bytes {!write_eth_to} emits for this frame (headers
@@ -91,5 +80,4 @@ val read_eth_from : bytes -> pos:int -> eth * int
     [pos]; returns the frame and the position one past it.
     @raise Invalid_argument on truncated or malformed input. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

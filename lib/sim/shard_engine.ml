@@ -89,7 +89,6 @@ let create ?domains ~shards ~window () =
     busy = Array.make shards 0;
   }
 
-let shards t = t.n
 let domains t = t.domains
 let window t = Time.of_ns t.window_ns
 let engine t i = t.engines.(i)

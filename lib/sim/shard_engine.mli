@@ -51,7 +51,6 @@ val create : ?domains:int -> shards:int -> window:Time.t -> unit -> t
     exceeds 1.  @raise Invalid_argument on [shards < 1], or on a
     non-positive window when [shards > 1] (one shard never uses it). *)
 
-val shards : t -> int
 val domains : t -> int
 val window : t -> Time.t
 

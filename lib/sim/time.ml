@@ -19,7 +19,6 @@ let of_float_sec s =
 let to_ns t = t
 let to_float_sec t = Float.of_int t /. 1e9
 let to_float_ms t = Float.of_int t /. 1e6
-let to_float_us t = Float.of_int t /. 1e3
 
 let add a b = a + b
 

@@ -19,7 +19,6 @@ val of_float_sec : float -> t
 val to_ns : t -> int
 val to_float_sec : t -> float
 val to_float_ms : t -> float
-val to_float_us : t -> float
 
 val add : t -> t -> t
 val sub : t -> t -> t

@@ -131,7 +131,7 @@ let storage_bytes t =
      92,160-byte example; the counting representation is a host-side
      implementation detail. *)
   Ids.Switch_id.Tbl.fold
-    (fun _ f acc -> acc + (Bloom.bits (Bloom.Counting.to_plain f) / 8))
+    (fun _ f acc -> acc + (Bloom.Counting.size f / 8))
     t.filters 0
 
 let clear t =

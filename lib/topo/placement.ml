@@ -31,9 +31,6 @@ let tenant_sizes ~rng spec =
   Array.init spec.n_tenants (fun _ ->
       Prng.int_in rng spec.tenant_size_min spec.tenant_size_max)
 
-let host_count spec ~rng =
-  Array.fold_left ( + ) 0 (tenant_sizes ~rng spec)
-
 let generate ?(contiguous = true) ~rng spec =
   if spec.racks_per_tenant <= 0 then invalid_arg "Placement: racks_per_tenant <= 0";
   if spec.racks_per_tenant > spec.n_switches then

@@ -31,7 +31,3 @@ val generate :
     racks are a contiguous segment of the switch row — the allocation
     locality placement systems aim for, without which switch-level
     traffic affinity (and hence grouping) largely disappears. *)
-
-val host_count : spec -> rng:Lazyctrl_util.Prng.t -> int
-(** Expected host count for a spec under the given stream (consumes the
-    same draws as [generate] does for sizing; used by tests). *)

@@ -9,8 +9,6 @@ type t = {
   location : Sid.t Hid.Tbl.t;
   at_switch : Hid.Set.t ref Sid.Tbl.t;
   by_tenant : Hid.Set.t ref Tid.Tbl.t;
-  by_mac : (int, Host.t) Hashtbl.t;
-  by_ip : (int, Host.t) Hashtbl.t;
 }
 
 let create ~n_switches =
@@ -21,8 +19,6 @@ let create ~n_switches =
     location = Hid.Tbl.create 256;
     at_switch = Sid.Tbl.create n_switches;
     by_tenant = Tid.Tbl.create 16;
-    by_mac = Hashtbl.create 256;
-    by_ip = Hashtbl.create 256;
   }
 
 let n_switches t = t.n_switches
@@ -30,12 +26,6 @@ let n_switches t = t.n_switches
 let switches t = List.init t.n_switches Sid.of_int
 
 let underlay_ip _t sw = Ipv4.of_switch_id (Sid.to_int sw)
-
-let switch_of_underlay_ip t ip =
-  let v = Ipv4.to_int ip in
-  let base = Ipv4.to_int (Ipv4.of_switch_id 0) in
-  let idx = v - base in
-  if idx >= 0 && idx < t.n_switches then Some (Sid.of_int idx) else None
 
 let set_find tbl_find tbl key =
   match tbl_find tbl key with
@@ -58,9 +48,7 @@ let add_host t (h : Host.t) ~at =
   let s = get_or_create_set Sid.Tbl.find_opt Sid.Tbl.replace t.at_switch at in
   s := Hid.Set.add h.id !s;
   let ten = get_or_create_set Tid.Tbl.find_opt Tid.Tbl.replace t.by_tenant h.tenant in
-  ten := Hid.Set.add h.id !ten;
-  Hashtbl.replace t.by_mac (Mac.to_int h.mac) h;
-  Hashtbl.replace t.by_ip (Ipv4.to_int h.ip) h
+  ten := Hid.Set.add h.id !ten
 
 let n_hosts t = Hid.Tbl.length t.hosts
 
@@ -89,22 +77,8 @@ let migrate t id ~to_ =
   Hid.Tbl.replace t.location id to_;
   prev
 
-let remove_host t id =
-  match Hid.Tbl.find_opt t.hosts id with
-  | None -> ()
-  | Some h ->
-      let loc = location t id in
-      let s = set_find Sid.Tbl.find_opt t.at_switch loc in
-      s := Hid.Set.remove id !s;
-      let ten = set_find Tid.Tbl.find_opt t.by_tenant h.tenant in
-      ten := Hid.Set.remove id !ten;
-      Hashtbl.remove t.by_mac (Mac.to_int h.mac);
-      Hashtbl.remove t.by_ip (Ipv4.to_int h.ip);
-      Hid.Tbl.remove t.location id;
-      Hid.Tbl.remove t.hosts id
-
 let tenants t =
-  Tid.Tbl.fold (fun ten s acc -> if Hid.Set.is_empty !s then acc else ten :: acc) t.by_tenant []
+  Tid.Tbl.fold (fun ten _ acc -> ten :: acc) t.by_tenant []
   |> List.sort Tid.compare
 
 let tenant_hosts t ten =
@@ -119,5 +93,3 @@ let tenant_switches t ten =
 
 let vlan_of_tenant ten = 1 + (Tid.to_int ten mod 4094)
 
-let find_by_mac t mac = Hashtbl.find_opt t.by_mac (Mac.to_int mac)
-let find_by_ip t ip = Hashtbl.find_opt t.by_ip (Ipv4.to_int ip)

@@ -17,7 +17,6 @@ val create : n_switches:int -> t
 val n_switches : t -> int
 val switches : t -> Ids.Switch_id.t list
 val underlay_ip : t -> Ids.Switch_id.t -> Ipv4.t
-val switch_of_underlay_ip : t -> Ipv4.t -> Ids.Switch_id.t option
 
 val add_host : t -> Host.t -> at:Ids.Switch_id.t -> unit
 (** @raise Invalid_argument if the host id is already present. *)
@@ -35,8 +34,6 @@ val hosts_at : t -> Ids.Switch_id.t -> Host.t list
 val migrate : t -> Ids.Host_id.t -> to_:Ids.Switch_id.t -> Ids.Switch_id.t
 (** Returns the previous location. @raise Not_found for an unknown host. *)
 
-val remove_host : t -> Ids.Host_id.t -> unit
-
 val tenants : t -> Ids.Tenant_id.t list
 val tenant_hosts : t -> Ids.Tenant_id.t -> Host.t list
 val tenant_switches : t -> Ids.Tenant_id.t -> Ids.Switch_id.t list
@@ -45,5 +42,3 @@ val tenant_switches : t -> Ids.Tenant_id.t -> Ids.Switch_id.t list
 val vlan_of_tenant : Ids.Tenant_id.t -> int
 (** Deterministic 802.1Q tag for a tenant (12-bit space, wraps). *)
 
-val find_by_mac : t -> Mac.t -> Host.t option
-val find_by_ip : t -> Ipv4.t -> Host.t option

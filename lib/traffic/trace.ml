@@ -119,24 +119,6 @@ let pair_flow_counts t =
 
 let communicating_pairs t = Hashtbl.length (pair_flow_counts t)
 
-let merge a b =
-  if a.n_hosts <> b.n_hosts then invalid_arg "Trace.merge: host space mismatch";
-  let duration = Time.max a.duration b.duration in
-  let builder = Builder.create ~n_hosts:a.n_hosts ~duration in
-  let add t i =
-    Builder.add builder ~time:(Time.of_ns t.times.(i))
-      ~src:(Ids.Host_id.of_int t.srcs.(i))
-      ~dst:(Ids.Host_id.of_int t.dsts.(i))
-      ~bytes:t.bytes.(i) ~packets:t.pkts.(i)
-  in
-  for i = 0 to n_flows a - 1 do
-    add a i
-  done;
-  for i = 0 to n_flows b - 1 do
-    add b i
-  done;
-  Builder.build builder
-
 (* Binary trace format: "LZTR" magic, version, n_hosts, duration, flow
    count, then per-flow columns as int64 (time, src, dst, bytes, pkts). *)
 let magic = 0x4C5A5452l

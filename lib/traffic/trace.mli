@@ -52,10 +52,6 @@ val pair_flow_counts : t -> (int * int, int) Hashtbl.t
 val communicating_pairs : t -> int
 (** Number of distinct unordered pairs that exchanged at least one flow. *)
 
-val merge : t -> t -> t
-(** Union of two traces over the same host space; duration is the max.
-    @raise Invalid_argument on mismatched [n_hosts]. *)
-
 val sub_between : t -> from:Time.t -> until:Time.t -> t
 (** Flows in the window, re-based to time 0. *)
 

@@ -261,26 +261,19 @@ module Indexed = struct
       if p > old then sift_up t t.pos.(k) else sift_down t t.pos.(k)
     end
 
-  let remove_at t i =
-    let k = t.heap.(i) in
-    t.size <- t.size - 1;
-    t.pos.(k) <- -1;
-    if i < t.size then begin
-      let last = t.heap.(t.size) in
-      t.heap.(i) <- last;
-      t.pos.(last) <- i;
-      sift_up t i;
-      sift_down t i
-    end
-
   let pop_max t =
     if t.size = 0 then None
     else begin
       let k = t.heap.(0) in
       let p = t.prio.(k) in
-      remove_at t 0;
+      t.size <- t.size - 1;
+      t.pos.(k) <- -1;
+      if t.size > 0 then begin
+        let last = t.heap.(t.size) in
+        t.heap.(0) <- last;
+        t.pos.(last) <- 0;
+        sift_down t 0
+      end;
       Some (k, p)
     end
-
-  let remove t k = if mem t k then remove_at t t.pos.(k)
 end

@@ -1,8 +1,10 @@
-(** Binary min-heaps.
+(** Binary heaps.
 
-    Two flavours are provided: a plain polymorphic min-heap used by the
-    discrete-event scheduler, and an indexed priority queue with
-    decrease-key used by graph algorithms (Stoer–Wagner, refinement). *)
+    Three flavours are provided: {!Flat}, the allocation-free heap behind
+    the discrete-event scheduler; {!Indexed}, a priority queue with
+    adjustable keys behind the partitioner's region growing; and a plain
+    polymorphic min-heap, the reference the tests check {!Flat}
+    against. *)
 
 type 'a t
 (** Min-heap over elements of type ['a] with an explicit comparison. *)
@@ -59,7 +61,7 @@ end
 
 module Indexed : sig
   (** Max-priority queue over integer keys [0..n-1] with float priorities
-      and O(log n) [increase]/[remove]. Keys may be absent. *)
+      and O(log n) [adjust]. Keys may be absent. *)
 
   type t
 
@@ -81,7 +83,4 @@ module Indexed : sig
 
   val pop_max : t -> (int * float) option
   (** Remove and return the key with the largest priority. *)
-
-  val remove : t -> int -> unit
-  (** Remove a key if present; no-op otherwise. *)
 end

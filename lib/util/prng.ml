@@ -49,10 +49,6 @@ let float t bound =
 
 let bool t = Int64.compare (bits64 t) 0L < 0
 
-let exponential t ~mean =
-  let u = 1.0 -. float t 1.0 in
-  -.mean *. log u
-
 let pareto t ~shape ~scale =
   let u = 1.0 -. float t 1.0 in
   scale /. (u ** (1.0 /. shape))

@@ -34,9 +34,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val exponential : t -> mean:float -> float
-(** Exponentially distributed sample with the given mean. *)
-
 val pareto : t -> shape:float -> scale:float -> float
 (** Pareto (heavy-tail) sample; used for flow sizes. *)
 

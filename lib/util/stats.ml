@@ -68,75 +68,6 @@ module Online = struct
     end
 end
 
-module Reservoir = struct
-  type t = {
-    rng : Prng.t;
-    sample : float array;
-    mutable filled : int;
-    mutable seen : int;
-  }
-
-  let create ?(capacity = 4096) rng =
-    { rng; sample = Array.make capacity 0.0; filled = 0; seen = 0 }
-
-  let add t x =
-    t.seen <- t.seen + 1;
-    let cap = Array.length t.sample in
-    if t.filled < cap then begin
-      t.sample.(t.filled) <- x;
-      t.filled <- t.filled + 1
-    end
-    else begin
-      let j = Prng.int t.rng t.seen in
-      if j < cap then t.sample.(j) <- x
-    end
-
-  let count t = t.seen
-
-  let percentile t p =
-    if t.filled = 0 then nan
-    else begin
-      let a = Array.sub t.sample 0 t.filled in
-      Array.sort Float.compare a;
-      percentile_of_sorted a p
-    end
-end
-
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    width : float;
-    counts : int array; (* underflow; buckets; overflow *)
-    mutable total : int;
-  }
-
-  let create ~lo ~hi ~buckets =
-    assert (hi > lo && buckets > 0);
-    {
-      lo;
-      hi;
-      width = (hi -. lo) /. Float.of_int buckets;
-      counts = Array.make (buckets + 2) 0;
-      total = 0;
-    }
-
-  let add t x =
-    t.total <- t.total + 1;
-    let buckets = Array.length t.counts - 2 in
-    let idx =
-      if x < t.lo then 0
-      else if x >= t.hi then buckets + 1
-      else 1 + int_of_float ((x -. t.lo) /. t.width)
-    in
-    let idx = min idx (buckets + 1) in
-    t.counts.(idx) <- t.counts.(idx) + 1
-
-  let count t = t.total
-
-  let bucket_counts t = Array.copy t.counts
-end
-
 module Timeseries = struct
   type t = {
     bucket_width : float;

@@ -24,34 +24,6 @@ module Online : sig
   (** Combine two summaries as if their streams were concatenated. *)
 end
 
-module Reservoir : sig
-  (** Fixed-size uniform reservoir sample; supports percentile queries over
-      unbounded streams with bounded memory. *)
-
-  type t
-
-  val create : ?capacity:int -> Prng.t -> t
-  (** Default capacity 4096. *)
-
-  val add : t -> float -> unit
-  val count : t -> int
-  val percentile : t -> float -> float
-  (** [percentile t 0.99] — linear interpolation between order statistics of
-      the retained sample. [nan] when empty. Argument in [\[0,1\]]. *)
-end
-
-module Histogram : sig
-  (** Fixed-width linear histogram with overflow bucket. *)
-
-  type t
-
-  val create : lo:float -> hi:float -> buckets:int -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val bucket_counts : t -> int array
-  (** [buckets + 2] entries: underflow, the buckets, overflow. *)
-end
-
 module Timeseries : sig
   (** Accumulates per-bucket event counts and value sums over a time axis —
       used for the paper's per-2-hour workload and latency series. *)

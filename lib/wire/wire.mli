@@ -27,7 +27,7 @@
     [Invalid_argument] — corrupt frames never decode to a value.
 
     Packets embed header-only (an IPv4 payload is its length field, as in
-    {!Lazyctrl_net.Packet.to_bytes}) and the synthetic payload is then
+    {!Lazyctrl_net.Packet.write_eth_to}) and the synthetic payload is then
     materialized as zero padding wherever a message carries the {e whole}
     packet, so [Bytes.length (encode m)] is the honest on-wire cost of
     [m]. A buffered [Packet_in] ([buffer_id <> Message.no_buffer]) omits

@@ -11,7 +11,8 @@ let test_no_false_negatives =
   qtest "no false negatives"
     QCheck2.Gen.(list_size (int_range 0 200) (int_range 0 1_000_000))
     (fun keys ->
-      let b = Bloom.of_list ~bits:8192 keys in
+      let b = Bloom.create ~bits:8192 () in
+      List.iter (Bloom.add b) keys;
       List.for_all (Bloom.mem b) keys)
 
 let test_empty_matches_nothing () =
@@ -42,62 +43,9 @@ let test_fp_rate_estimators () =
   for i = 0 to 255 do
     Bloom.add b i
   done;
-  let est = Bloom.estimated_entries b in
-  check Alcotest.bool "entry estimate within 15%" true
-    (Float.abs (est -. 256.0) /. 256.0 < 0.15);
   check Alcotest.bool "fill in (0,1)" true
     (Bloom.fill_ratio b > 0.0 && Bloom.fill_ratio b < 1.0);
   check Alcotest.bool "fp estimate positive" true (Bloom.estimated_fp_rate b > 0.0)
-
-let test_clear () =
-  let b = Bloom.of_list ~bits:1024 [ 1; 2; 3 ] in
-  Bloom.clear b;
-  check Alcotest.bool "cleared" false (Bloom.mem b 1);
-  check (Alcotest.float 1e-9) "fill zero" 0.0 (Bloom.fill_ratio b)
-
-let test_union =
-  qtest "union contains both sides"
-    QCheck2.Gen.(pair (list (int_range 0 100_000)) (list (int_range 0 100_000)))
-    (fun (xs, ys) ->
-      let a = Bloom.of_list ~bits:4096 xs and b = Bloom.of_list ~bits:4096 ys in
-      let u = Bloom.union a b in
-      List.for_all (Bloom.mem u) (xs @ ys))
-
-let test_union_geometry_mismatch () =
-  let a = Bloom.create ~bits:64 () and b = Bloom.create ~bits:128 () in
-  Alcotest.check_raises "mismatch"
-    (Invalid_argument "Bloom.union: mismatched geometry") (fun () ->
-      ignore (Bloom.union a b))
-
-let test_serialization_roundtrip =
-  qtest "to_bytes/of_bytes roundtrip"
-    QCheck2.Gen.(list_size (int_range 0 100) (int_range 0 1_000_000))
-    (fun keys ->
-      let b = Bloom.of_list ~bits:2048 keys in
-      Bloom.equal b (Bloom.of_bytes (Bloom.to_bytes b)))
-
-let test_of_bytes_malformed () =
-  Alcotest.check_raises "truncated"
-    (Invalid_argument "Bloom.of_bytes: truncated header") (fun () ->
-      ignore (Bloom.of_bytes (Bytes.create 4)))
-
-let test_sizing_formulas () =
-  let bits = Bloom.optimal_bits ~expected:1000 ~fp_rate:0.01 in
-  (* Standard answer: ~9.6 bits/entry for 1% FP. *)
-  check Alcotest.bool "bits in expected band" true (bits > 9000 && bits < 10000);
-  let k = Bloom.optimal_hashes ~bits ~expected:1000 in
-  check Alcotest.bool "k near 7" true (k >= 6 && k <= 8);
-  let b = Bloom.create_for ~expected:1000 ~fp_rate:0.01 in
-  for i = 0 to 999 do
-    Bloom.add b i
-  done;
-  let rng = Prng.create 3 in
-  let fp = ref 0 in
-  for _ = 1 to 20_000 do
-    if Bloom.mem b (2000 + Prng.int rng 10_000_000) then incr fp
-  done;
-  let rate = Float.of_int !fp /. 20_000.0 in
-  check Alcotest.bool "realized fp near design" true (rate < 0.02)
 
 let test_invalid_args () =
   Alcotest.check_raises "zero bits"
@@ -130,15 +78,6 @@ let test_counting_remove_clears () =
   Bloom.Counting.remove c 42;
   check Alcotest.bool "absent after remove" false (Bloom.Counting.mem c 42)
 
-let test_counting_to_plain_consistent =
-  qtest "to_plain preserves membership"
-    QCheck2.Gen.(list_size (int_range 0 100) (int_range 0 1_000_000))
-    (fun keys ->
-      let c = Bloom.Counting.create ~counters:4096 () in
-      List.iter (Bloom.Counting.add c) keys;
-      let p = Bloom.Counting.to_plain c in
-      List.for_all (Bloom.mem p) keys)
-
 let test_counting_clear () =
   let c = Bloom.Counting.create ~counters:1024 () in
   Bloom.Counting.add c 1;
@@ -168,19 +107,12 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty_matches_nothing;
           Alcotest.test_case "fp rate at 128 bits/entry" `Quick test_fp_rate_reasonable;
           Alcotest.test_case "estimators" `Quick test_fp_rate_estimators;
-          Alcotest.test_case "clear" `Quick test_clear;
-          test_union;
-          Alcotest.test_case "union mismatch" `Quick test_union_geometry_mismatch;
-          test_serialization_roundtrip;
-          Alcotest.test_case "malformed bytes" `Quick test_of_bytes_malformed;
-          Alcotest.test_case "sizing formulas" `Quick test_sizing_formulas;
           Alcotest.test_case "invalid args" `Quick test_invalid_args;
         ] );
       ( "counting",
         [
           test_counting_add_remove;
           Alcotest.test_case "remove clears" `Quick test_counting_remove_clears;
-          test_counting_to_plain_consistent;
           Alcotest.test_case "clear" `Quick test_counting_clear;
           Alcotest.test_case "saturation" `Quick test_counting_saturation;
         ] );

@@ -1,5 +1,5 @@
-(* Tests for lazyctrl.graph: CSR graphs, coarsening, multilevel k-way
-   partitioning, and Stoer–Wagner min-cut. *)
+(* Tests for lazyctrl.graph: CSR graphs, coarsening and multilevel k-way
+   partitioning. *)
 
 open Lazyctrl_graph
 module Prng = Lazyctrl_util.Prng
@@ -21,14 +21,20 @@ let gen_graph =
 
 let build (n, edges) = Wgraph.of_edges ~n edges
 
+(* Weight of the edge u–v as u's adjacency lists it; 0 when absent. *)
+let edge_weight g u v =
+  let w = ref 0.0 in
+  Wgraph.iter_neighbors g u (fun x wx -> if x = v then w := !w +. wx);
+  !w
+
 (* --- Wgraph ----------------------------------------------------------------- *)
 
 let test_builder_merges_parallel_edges () =
   let g = Wgraph.of_edges ~n:3 [ (0, 1, 1.0); (1, 0, 2.0); (0, 1, 3.0) ] in
   check Alcotest.int "one undirected edge" 1 (Wgraph.n_edges g);
-  check (Alcotest.float 1e-9) "weights accumulate" 6.0 (Wgraph.edge_weight g 0 1);
-  check (Alcotest.float 1e-9) "symmetric" 6.0 (Wgraph.edge_weight g 1 0);
-  check (Alcotest.float 1e-9) "absent edge" 0.0 (Wgraph.edge_weight g 0 2)
+  check (Alcotest.float 1e-9) "weights accumulate" 6.0 (edge_weight g 0 1);
+  check (Alcotest.float 1e-9) "symmetric" 6.0 (edge_weight g 1 0);
+  check (Alcotest.float 1e-9) "absent edge" 0.0 (edge_weight g 0 2)
 
 let test_builder_drops_self_loops () =
   let g = Wgraph.of_edges ~n:2 [ (0, 0, 5.0); (0, 1, 1.0) ] in
@@ -68,17 +74,12 @@ let test_total_edge_weight_consistent =
       Wgraph.iter_edges g (fun _ _ w -> sum := !sum +. w);
       Float.abs (!sum -. Wgraph.total_edge_weight g) < 1e-6)
 
-let test_weight_between () =
-  let g = Wgraph.of_edges ~n:4 [ (0, 2, 1.0); (0, 3, 2.0); (1, 2, 4.0); (0, 1, 8.0) ] in
-  check (Alcotest.float 1e-9) "cross weight" 7.0
-    (Wgraph.weight_between g [ 0; 1 ] [ 2; 3 ])
-
 let test_induced () =
   let g = Wgraph.of_edges ~n:5 [ (0, 1, 1.0); (1, 2, 2.0); (2, 3, 3.0); (3, 4, 4.0) ] in
   let sub, mapping = Wgraph.induced g [| 1; 2; 3 |] in
   check Alcotest.int "sub vertices" 3 (Wgraph.n_vertices sub);
   check Alcotest.int "sub edges" 2 (Wgraph.n_edges sub);
-  check (Alcotest.float 1e-9) "edge kept" 2.0 (Wgraph.edge_weight sub 0 1);
+  check (Alcotest.float 1e-9) "edge kept" 2.0 (edge_weight sub 0 1);
   check (Alcotest.array Alcotest.int) "mapping" [| 1; 2; 3 |] mapping
 
 (* --- Coarsen ----------------------------------------------------------------- *)
@@ -171,13 +172,6 @@ let test_refine_never_worsens =
       ignore (Partition.refine g ~k a);
       Partition.edge_cut g a <= before +. 1e-9)
 
-let test_balance_metric () =
-  let g = Wgraph.of_edges ~n:4 [ (0, 1, 1.0) ] in
-  let a = [| 0; 0; 1; 1 |] in
-  check (Alcotest.float 1e-9) "perfect balance" 1.0 (Partition.balance g ~k:2 a);
-  let skewed = [| 0; 0; 0; 1 |] in
-  check (Alcotest.float 1e-9) "skewed" 1.5 (Partition.balance g ~k:2 skewed)
-
 let test_validate_errors () =
   let g = Wgraph.of_edges ~n:3 [ (0, 1, 1.0) ] in
   (match Partition.validate g ~k:2 [| 0; 1 |] with
@@ -200,59 +194,6 @@ let test_bisect_balanced =
       let a = Partition.bisect ~rng:(Prng.create 10) ~max_part_weight:cap g in
       Partition.validate g ~k:2 ~max_part_weight:cap a = Ok ())
 
-(* --- Mincut ------------------------------------------------------------------- *)
-
-let brute_force_mincut g =
-  let n = Wgraph.n_vertices g in
-  let best = ref infinity in
-  (* All 2^(n-1) bipartitions with vertex 0 pinned to side false. *)
-  for mask = 1 to (1 lsl (n - 1)) - 1 do
-    let side = Array.init n (fun i -> i > 0 && (mask lsr (i - 1)) land 1 = 1) in
-    let w = Mincut.cut_weight g side in
-    if w < !best then best := w
-  done;
-  !best
-
-let gen_small_graph =
-  let open QCheck2.Gen in
-  let* n = int_range 2 7 in
-  let* density = float_range 0.3 1.0 in
-  let* seed = small_int in
-  let rng = Prng.create seed in
-  let edges = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Prng.float rng 1.0 < density then
-        edges := (i, j, Prng.float rng 10.0 +. 0.01) :: !edges
-    done
-  done;
-  return (n, !edges)
-
-let test_stoer_wagner_matches_brute_force =
-  qtest ~count:150 "Stoer-Wagner equals brute force" gen_small_graph
-    (fun (n, edges) ->
-      let g = Wgraph.of_edges ~n edges in
-      let w, side = Mincut.stoer_wagner g in
-      let expected = brute_force_mincut g in
-      Float.abs (w -. expected) < 1e-6
-      && Float.abs (Mincut.cut_weight g side -. w) < 1e-6
-      && Array.exists Fun.id side
-      && not (Array.for_all Fun.id side))
-
-let test_stoer_wagner_disconnected () =
-  let g = Wgraph.of_edges ~n:4 [ (0, 1, 3.0); (2, 3, 5.0) ] in
-  let w, _ = Mincut.stoer_wagner g in
-  check (Alcotest.float 1e-9) "zero cut" 0.0 w
-
-let test_stoer_wagner_tiny () =
-  let g = Wgraph.of_edges ~n:2 [ (0, 1, 7.5) ] in
-  let w, side = Mincut.stoer_wagner g in
-  check (Alcotest.float 1e-9) "single edge" 7.5 w;
-  check Alcotest.bool "proper side" true (side.(0) <> side.(1));
-  Alcotest.check_raises "too small"
-    (Invalid_argument "Mincut.stoer_wagner: need at least 2 vertices")
-    (fun () -> ignore (Mincut.stoer_wagner (Wgraph.of_edges ~n:1 [])))
-
 let () =
   Alcotest.run "graph"
     [
@@ -264,7 +205,6 @@ let () =
           Alcotest.test_case "vertex weights" `Quick test_vertex_weights;
           test_iter_edges_once;
           test_total_edge_weight_consistent;
-          Alcotest.test_case "weight_between" `Quick test_weight_between;
           Alcotest.test_case "induced" `Quick test_induced;
         ] );
       ( "coarsen",
@@ -281,14 +221,7 @@ let () =
           Alcotest.test_case "k=1" `Quick test_partition_k1;
           Alcotest.test_case "infeasible cap" `Quick test_partition_infeasible_cap;
           test_refine_never_worsens;
-          Alcotest.test_case "balance metric" `Quick test_balance_metric;
           Alcotest.test_case "validate errors" `Quick test_validate_errors;
           test_bisect_balanced;
-        ] );
-      ( "mincut",
-        [
-          test_stoer_wagner_matches_brute_force;
-          Alcotest.test_case "disconnected" `Quick test_stoer_wagner_disconnected;
-          Alcotest.test_case "tiny and invalid" `Quick test_stoer_wagner_tiny;
         ] );
     ]

@@ -145,17 +145,6 @@ let test_inc_update_none_when_optimal () =
   check Alcotest.bool "already optimal" true
     (Sgi.inc_update ~rng:(Prng.create 4) ~limit:4 ~intensity:g good = None)
 
-let test_converge () =
-  let g = community_graph ~communities:3 ~size:4 ~internal:10.0 ~external_w:0.1 in
-  let bad = Grouping.of_assignment [| 0; 1; 2; 0; 1; 2; 0; 1; 2; 0; 1; 2 |] in
-  let load grouping = Grouping.inter_group_intensity g grouping in
-  let final, updates =
-    Sgi.converge ~rng:(Prng.create 5) ~limit:4 ~intensity:g ~load
-      ~threshold_high:1.0 ~threshold_low:0.5 ~max_iterations:20 bad
-  in
-  check Alcotest.bool "updates applied" true (updates > 0);
-  check Alcotest.bool "load reduced" true (load final < load bad)
-
 (* --- Negotiation ----------------------------------------------------------------- *)
 
 let test_negotiation_closed_form () =
@@ -244,7 +233,6 @@ let () =
           Alcotest.test_case "inc_update improves" `Quick test_inc_update_improves;
           Alcotest.test_case "inc_update merges" `Quick test_inc_update_merges_when_fits;
           Alcotest.test_case "inc_update stable at optimum" `Quick test_inc_update_none_when_optimal;
-          Alcotest.test_case "converge" `Quick test_converge;
         ] );
       ( "negotiation",
         [

@@ -618,7 +618,7 @@ let family_rules =
     ("D", "D002-raw-random");
     ("A", "A002-poly-hash");
     ("P", "P002-proto-coverage");
-    ("L", "L001-layering");
+    ("L", "L002-lazy-separation");
     ("X", "X001-dead-export");
     ("S", "S001-module-state");
     ("H", "H001-hot-alloc");

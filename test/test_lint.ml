@@ -273,8 +273,8 @@ let parse_intf file src =
 
 (* A miniature repo exercising every resolution form the simulator uses:
    sibling modules, [open Lazyctrl_x], file-local aliases, and absolute
-   wrapper paths — plus two deliberate layering violations: a lib/switch
-   -> controller-internal call and a controller -> switch-internal one. *)
+   wrapper paths — plus one deliberate separation violation: a controller
+   -> switch-internal call. *)
 let fixture_files () =
   [
     parse_file "lib/util/helper.ml" "let stamp () = Sys.time ()";
@@ -286,8 +286,6 @@ let fixture_files () =
     parse_file "lib/switch/proto.ml" "let size_estimate _ = 0";
     parse_file "lib/switch/edge_helper.ml"
       "let tick () = Lazyctrl_util.Helper.stamp ()";
-    parse_file "lib/switch/bad.ml"
-      "let poke c = Lazyctrl_controller.Controller.stats c";
     parse_file "lib/controller/bad2.ml"
       "open Lazyctrl_switch\n\
        let peek t = Edge_switch.lfib t\n\
@@ -341,17 +339,38 @@ let callgraph_tests =
 
 (* --- L00x: layering -------------------------------------------------------- *)
 
+(* The library graph the compiler enforces: for each lib/<dir>/dune, the
+   lazyctrl_* entries of its [libraries] field, as lib dir names. *)
+let dune_lib_deps () =
+  let lib =
+    let staged = Filename.concat ".." "lib" in
+    if Sys.file_exists staged then staged else "lib"
+  in
+  let prefix = "lazyctrl_" in
+  let n = String.length prefix in
+  (* [libraries] is the last field of every library stanza here *)
+  let rec after_libraries = function
+    | "libraries" :: rest -> rest
+    | _ :: rest -> after_libraries rest
+    | [] -> []
+  in
+  Sys.readdir lib |> Array.to_list |> List.sort String.compare
+  |> List.filter_map (fun dir ->
+         let path = Filename.concat (Filename.concat lib dir) "dune" in
+         if not (Sys.file_exists path) then None
+         else
+           In_channel.with_open_bin path In_channel.input_all
+           |> String.map (function '(' | ')' | '\n' -> ' ' | c -> c)
+           |> String.split_on_char ' ' |> after_libraries
+           |> List.filter_map (fun w ->
+                  if String.length w > n && String.equal (String.sub w 0 n) prefix
+                  then Some (String.sub w n (String.length w - n))
+                  else None)
+           |> List.sort String.compare
+           |> fun deps -> Some (dir, deps))
+
 let layering_tests =
   [
-    Alcotest.test_case "switch -> controller internals caught" `Quick
-      (fun () ->
-        let fs = Layering.check (fixture_cg ()) in
-        Alcotest.(check bool) "L002 on lib/switch/bad.ml" true
-          (List.exists
-             (fun (f : Finding.t) ->
-               String.equal f.file "lib/switch/bad.ml"
-               && String.equal f.rule Rules.l_lazy_separation)
-             fs));
     Alcotest.test_case "controller -> switch internals caught, Proto exempt"
       `Quick (fun () ->
         let fs = Layering.check (fixture_cg ()) in
@@ -365,26 +384,16 @@ let layering_tests =
           (has Rules.l_lazy_separation on_bad2);
         Alcotest.(check bool) "no finding for the Proto reference" false
           (List.exists (fun (f : Finding.t) -> f.line = 3) on_bad2));
-    Alcotest.test_case "undeclared lib dependency caught" `Quick (fun () ->
-        let files =
-          [ parse_file "lib/util/leak.ml" "let z = Lazyctrl_sim.Time.zero" ]
-        in
-        let cg = Callgraph.build ~files ~aux:[] in
-        Alcotest.(check bool) "L001 on util -> sim" true
-          (has Rules.l_layering (Layering.check cg)));
     Alcotest.test_case "declared dependencies stay silent" `Quick (fun () ->
-        (* the fixture repo's only violations are the two deliberate ones *)
+        (* the fixture repo's only violation is the deliberate one *)
         let fs = Layering.check (fixture_cg ()) in
-        Alcotest.(check int) "exactly the two planted violations" 2
+        Alcotest.(check int) "exactly the planted violation" 1
           (List.length fs));
     Alcotest.test_case "spec sanity: analysis depends only on util" `Quick
       (fun () ->
         Alcotest.(check (list string)) "only util's JSON declared" [ "util" ]
           (Option.value ~default:[ "missing" ]
-             (List.assoc_opt "analysis" Layering.allowed_deps));
-        Alcotest.(check bool) "Proto is the controller surface" true
-          (List.exists (String.equal "Proto")
-             Layering.controller_switch_surface));
+             (List.assoc_opt "analysis" (dune_lib_deps ()))));
   ]
 
 (* --- X00x: interface hygiene ----------------------------------------------- *)
@@ -453,6 +462,28 @@ let with_tmp_tree f =
       ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote root))))
     (fun () -> f root)
 
+(* Write repo-relative [(path, contents)] files under [root], creating
+   their directories. *)
+let write_tree root files =
+  List.iter
+    (fun (rel, src) ->
+      let rec mkdir_p dir =
+        if not (Sys.file_exists dir) then begin
+          mkdir_p (Filename.dirname dir);
+          Sys.mkdir dir 0o755
+        end
+      in
+      mkdir_p (Filename.concat root (Filename.dirname rel));
+      write_file (Filename.concat root rel) src)
+    files
+
+let dead_exports report =
+  List.filter_map
+    (fun (f : Finding.t) ->
+      if String.equal f.rule Rules.x_dead_export then Some (f.file, f.line)
+      else None)
+    report.Driver.findings
+
 let driver_tests =
   [
     Alcotest.test_case "parse failure reported once" `Quick (fun () ->
@@ -488,11 +519,7 @@ let driver_tests =
            or folds a hash table in bucket order inherit nothing: the one
            finding per hazard is the D rule at the helper's line. *)
         with_tmp_tree (fun root ->
-            List.iter
-              (fun (rel, src) ->
-                let dir = Filename.concat root (Filename.dirname rel) in
-                if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-                write_file (Filename.concat root rel) src)
+            write_tree root
               [
                 ( "lib/util/helper.ml",
                   "let stamp () = Sys.time ()\n\
@@ -530,6 +557,47 @@ let driver_tests =
                      Some (f.file, f.line, f.rule)
                    else None)
                  report.Driver.findings)));
+    Alcotest.test_case "X001 sees through a local module alias" `Quick
+      (fun () ->
+        (* [let module H = Path in] is an alias like [module H = Path]:
+           H.used credits Helper.used alone, not every Helper export. *)
+        with_tmp_tree (fun root ->
+            write_tree root
+              [
+                ("lib/util/helper.ml", "let used () = 1\nlet unused () = 2");
+                ( "lib/util/helper.mli",
+                  "val used : unit -> int\nval unused : unit -> int" );
+                ( "bin/main.ml",
+                  "let () =\n\
+                   \  let module H = Lazyctrl_util.Helper in\n\
+                   \  ignore (H.used ())" );
+              ];
+            let report =
+              Driver.run ~families:[ "X" ] ~root
+                ~allow_path:(Filename.concat root ".allow") ()
+            in
+            Alcotest.(check (list (pair string int)))
+              "X001 on Helper.unused only"
+              [ ("lib/util/helper.mli", 2) ]
+              (dead_exports report)));
+    Alcotest.test_case "benchmark/ references keep exports alive" `Quick
+      (fun () ->
+        with_tmp_tree (fun root ->
+            write_tree root
+              [
+                ("lib/util/helper.ml", "let used () = 1");
+                ("lib/util/helper.mli", "val used : unit -> int");
+                ( "benchmark/src/w.ml",
+                  "let run () = Lazyctrl_util.Helper.used ()" );
+              ];
+            let report =
+              Driver.run ~families:[ "X" ] ~root
+                ~allow_path:(Filename.concat root ".allow") ()
+            in
+            Alcotest.(check (list (pair string int)))
+              "no dead export" [] (dead_exports report);
+            Alcotest.(check int) "benchmark/ yields no finding" 0
+              (List.length report.Driver.findings)));
     Alcotest.test_case "stale allowlist entry reported once" `Quick (fun () ->
         with_tmp_tree (fun root ->
             write_file
@@ -797,13 +865,15 @@ let callgraph_notes_tests =
 
 (* --- ARCHITECTURE.md layering diagram ---------------------------------------- *)
 
-(* The Mermaid diagram in ARCHITECTURE.md documents the layering spec
-   that L001 enforces; parse its edges back out and fail when document
-   and code drift apart.  A bare identifier line inside the fence is a
-   dependency-free library; [a --> b] means "a may reference b". *)
+(* The Mermaid diagram in ARCHITECTURE.md documents the library graph
+   the compiler enforces; parse its edges back out and fail when the
+   document and the dune files drift apart.  A bare identifier line
+   inside the fence is a dependency-free library; [a --> b] means "a may
+   reference b". *)
 let architecture_doc_tests =
   [
-    Alcotest.test_case "mermaid diagram matches allowed_deps" `Quick (fun () ->
+    Alcotest.test_case "mermaid diagram matches the dune library graph" `Quick
+      (fun () ->
         let doc = read_repo_file "ARCHITECTURE.md" in
         let in_fence = ref false in
         let nodes = ref [] and edges = ref [] in
@@ -834,15 +904,9 @@ let architecture_doc_tests =
                      !edges) ))
             libs
         in
-        let code_spec =
-          List.map
-            (fun (lib, deps) -> (lib, List.sort String.compare deps))
-            Layering.allowed_deps
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        in
         Alcotest.(check (list (pair string (list string))))
-          "ARCHITECTURE.md diagram == lib/analysis/layering.ml spec"
-          code_spec doc_spec);
+          "ARCHITECTURE.md diagram == lib/*/dune libraries"
+          (dune_lib_deps ()) doc_spec);
   ]
 
 let () =

@@ -33,18 +33,6 @@ let test_topology_basics () =
   check Alcotest.int "tenant 1 switches" 2
     (List.length (Topology.tenant_switches t (tid 1)))
 
-let test_topology_find () =
-  let t = small_topo () in
-  let h = host 2 1 in
-  (match Topology.find_by_mac t h.Host.mac with
-  | Some found -> check Alcotest.bool "by mac" true (Host.equal found h)
-  | None -> Alcotest.fail "mac lookup failed");
-  (match Topology.find_by_ip t h.Host.ip with
-  | Some found -> check Alcotest.bool "by ip" true (Host.equal found h)
-  | None -> Alcotest.fail "ip lookup failed");
-  check Alcotest.bool "absent mac" true
-    (Topology.find_by_mac t (Mac.of_int 12345) = None)
-
 let test_topology_migrate () =
   let t = small_topo () in
   let prev = Topology.migrate t (hid 0) ~to_:(sid 3) in
@@ -54,14 +42,6 @@ let test_topology_migrate () =
   check Alcotest.int "sw0 lost a host" 1 (List.length (Topology.hosts_at t (sid 0)));
   check Alcotest.int "sw3 gained it" 1 (List.length (Topology.hosts_at t (sid 3)))
 
-let test_topology_remove () =
-  let t = small_topo () in
-  Topology.remove_host t (hid 3);
-  check Alcotest.int "host count" 3 (Topology.n_hosts t);
-  check Alcotest.bool "gone from index" true
-    (Topology.find_by_mac t (host 3 1).Host.mac = None);
-  check Alcotest.int "tenant shrank" 1 (List.length (Topology.tenant_hosts t (tid 1)))
-
 let test_topology_duplicate_rejected () =
   let t = small_topo () in
   Alcotest.check_raises "duplicate"
@@ -70,12 +50,10 @@ let test_topology_duplicate_rejected () =
 
 let test_underlay_ip_mapping () =
   let t = small_topo () in
-  let ip = Topology.underlay_ip t (sid 2) in
-  (match Topology.switch_of_underlay_ip t ip with
-  | Some sw -> check Alcotest.bool "roundtrip" true (Ids.Switch_id.equal sw (sid 2))
-  | None -> Alcotest.fail "reverse mapping failed");
-  check Alcotest.bool "foreign ip" true
-    (Topology.switch_of_underlay_ip t (Ipv4.of_host_id 1) = None)
+  check Alcotest.bool "switch endpoint" true
+    (Ipv4.equal (Topology.underlay_ip t (sid 2)) (Ipv4.of_switch_id 2));
+  check Alcotest.bool "distinct per switch" false
+    (Ipv4.equal (Topology.underlay_ip t (sid 1)) (Topology.underlay_ip t (sid 2)))
 
 let test_vlan_of_tenant () =
   check Alcotest.int "vlan base" 1 (Topology.vlan_of_tenant (tid 0));
@@ -200,9 +178,7 @@ let () =
       ( "topology",
         [
           Alcotest.test_case "basics" `Quick test_topology_basics;
-          Alcotest.test_case "find by mac/ip" `Quick test_topology_find;
           Alcotest.test_case "migrate" `Quick test_topology_migrate;
-          Alcotest.test_case "remove" `Quick test_topology_remove;
           Alcotest.test_case "duplicate rejected" `Quick test_topology_duplicate_rejected;
           Alcotest.test_case "underlay ip mapping" `Quick test_underlay_ip_mapping;
           Alcotest.test_case "tenant vlan" `Quick test_vlan_of_tenant;

@@ -1,13 +1,13 @@
-(* Tests for lazyctrl.util: PRNG, heaps, union-find, statistics, tables,
-   JSON. *)
+(* Tests for lazyctrl.util: PRNG, heaps, statistics, tables, JSON and the
+   sorted hash-table views. *)
 
 module Prng = Lazyctrl_util.Prng
 module Intmap = Lazyctrl_util.Intmap
 module Heap = Lazyctrl_util.Heap
-module Union_find = Lazyctrl_util.Union_find
 module Stats = Lazyctrl_util.Stats
 module Table = Lazyctrl_util.Table
 module Json = Lazyctrl_util.Json
+module Det = Lazyctrl_util.Det
 
 let check = Alcotest.check
 let qtest ?(count = 200) name gen prop =
@@ -105,16 +105,6 @@ let test_zipf_skew () =
   (* Rank 0 must dominate rank 500 heavily under alpha = 1.2. *)
   check Alcotest.bool "rank 0 much hotter than rank 500" true
     (counts.(0) > 20 * (counts.(500) + 1))
-
-let test_exponential_mean () =
-  let rng = Prng.create 11 in
-  let sum = ref 0.0 in
-  let n = 50_000 in
-  for _ = 1 to n do
-    sum := !sum +. Prng.exponential rng ~mean:3.0
-  done;
-  let mean = !sum /. Float.of_int n in
-  check Alcotest.bool "empirical mean near 3.0" true (Float.abs (mean -. 3.0) < 0.1)
 
 (* --- Heap ------------------------------------------------------------- *)
 
@@ -228,8 +218,10 @@ let test_indexed_heap_basics () =
   (match Heap.Indexed.pop_max h with
   | Some (3, _) -> ()
   | _ -> Alcotest.fail "adjust up should win");
-  Heap.Indexed.remove h 1;
-  check Alcotest.int "empty after removals" 0 (Heap.Indexed.cardinal h)
+  (match Heap.Indexed.pop_max h with
+  | Some (1, _) -> ()
+  | _ -> Alcotest.fail "the last key pops last");
+  check Alcotest.int "empty after pops" 0 (Heap.Indexed.cardinal h)
 
 let test_indexed_heap_adjust_down () =
   let h = Heap.Indexed.create 4 in
@@ -253,20 +245,6 @@ let test_indexed_heap_random =
         | Some (_, p) -> p <= last && drain p
       in
       drain infinity)
-
-(* --- Union-find -------------------------------------------------------- *)
-
-let test_union_find () =
-  let u = Union_find.create 6 in
-  check Alcotest.int "initial sets" 6 (Union_find.count u);
-  check Alcotest.bool "union new" true (Union_find.union u 0 1);
-  check Alcotest.bool "union again" false (Union_find.union u 1 0);
-  ignore (Union_find.union u 2 3);
-  ignore (Union_find.union u 0 2);
-  check Alcotest.bool "same 1 3" true (Union_find.same u 1 3);
-  check Alcotest.bool "not same 1 4" false (Union_find.same u 1 4);
-  check Alcotest.int "sets" 3 (Union_find.count u);
-  check Alcotest.int "size of component" 4 (Union_find.size u 3)
 
 (* --- Stats -------------------------------------------------------------- *)
 
@@ -300,26 +278,6 @@ let test_percentile () =
   check (Alcotest.float 1e-9) "p50" 3.0 (Stats.percentile_of_sorted a 0.5);
   check (Alcotest.float 1e-9) "p100" 5.0 (Stats.percentile_of_sorted a 1.0);
   check (Alcotest.float 1e-9) "p25" 2.0 (Stats.percentile_of_sorted a 0.25)
-
-let test_reservoir_percentile () =
-  let r = Stats.Reservoir.create ~capacity:1000 (Prng.create 3) in
-  for i = 1 to 10_000 do
-    Stats.Reservoir.add r (Float.of_int (i mod 100))
-  done;
-  let p50 = Stats.Reservoir.percentile r 0.5 in
-  check Alcotest.bool "median near 50" true (Float.abs (p50 -. 50.0) < 10.0);
-  check Alcotest.int "count tracks stream" 10_000 (Stats.Reservoir.count r)
-
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:5 in
-  List.iter (Stats.Histogram.add h) [ -1.0; 0.0; 1.9; 2.0; 9.9; 10.0; 42.0 ];
-  let counts = Stats.Histogram.bucket_counts h in
-  check Alcotest.int "underflow" 1 counts.(0);
-  check Alcotest.int "first bucket" 2 counts.(1);
-  check Alcotest.int "second bucket" 1 counts.(2);
-  check Alcotest.int "last bucket" 1 counts.(5);
-  check Alcotest.int "overflow" 2 counts.(6);
-  check Alcotest.int "total" 7 (Stats.Histogram.count h)
 
 let test_timeseries () =
   let ts = Stats.Timeseries.create ~bucket_width:10.0 ~n_buckets:3 in
@@ -513,6 +471,55 @@ let test_json_parser_total =
       let doc = List.fold_left apply (Json.to_string t) edits in
       match Json.of_string doc with Ok _ | Error _ -> true)
 
+(* --- Det ---------------------------------------------------------------- *)
+
+let test_det_sorted_views () =
+  let tbl = Hashtbl.create 8 in
+  List.iter (fun k -> Hashtbl.replace tbl k (k * 10)) [ 5; 1; 4; 2; 3 ];
+  (* A shadowing [add] leaves two bindings of 4: the key is visited once,
+     with its newest value. *)
+  Hashtbl.add tbl 4 41;
+  check
+    Alcotest.(list (pair int int))
+    "bindings_sorted"
+    [ (1, 10); (2, 20); (3, 30); (4, 41); (5, 50) ]
+    (Det.bindings_sorted ~cmp:Int.compare tbl);
+  check Alcotest.(list int) "fold_sorted visits in ascending order" [ 5; 4; 3; 2; 1 ]
+    (Det.fold_sorted ~cmp:Int.compare (fun k _ acc -> k :: acc) tbl []);
+  check
+    Alcotest.(list (pair int int))
+    "pair_compare is lexicographic"
+    [ (0, 5); (1, 0); (1, 2) ]
+    (List.sort Det.pair_compare [ (1, 2); (0, 5); (1, 0) ])
+
+let test_det_iter_mutation () =
+  let tbl = Hashtbl.create 8 in
+  List.iter (fun k -> Hashtbl.replace tbl k ()) [ 3; 0; 2; 1 ];
+  let seen = ref [] in
+  Det.iter_sorted ~cmp:Int.compare
+    (fun k () ->
+      seen := k :: !seen;
+      (* A key removed before its visit is skipped; a key added during
+         the walk is outside the snapshot. *)
+      if k = 0 then begin
+        Hashtbl.remove tbl 2;
+        Hashtbl.replace tbl 9 ()
+      end)
+    tbl;
+  check Alcotest.(list int) "visit order" [ 0; 1; 3 ] (List.rev !seen)
+
+let test_det_insertion_order =
+  qtest "bindings ignore insertion order"
+    QCheck2.Gen.(list small_int)
+    (fun xs ->
+      let build ks =
+        let tbl = Hashtbl.create 4 in
+        List.iter (fun k -> Hashtbl.replace tbl k (-k)) ks;
+        Det.bindings_sorted ~cmp:Int.compare tbl
+      in
+      let expected = List.map (fun k -> (k, -k)) (List.sort_uniq Int.compare xs) in
+      build xs = expected && build (List.rev xs) = expected)
+
 let () =
   Alcotest.run "util"
     [
@@ -528,7 +535,6 @@ let () =
           test_shuffle_is_permutation;
           test_sample_distinct;
           Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
-          Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
         ] );
       ( "heap",
         [
@@ -540,7 +546,6 @@ let () =
           test_indexed_heap_random;
           test_flat_heap_matches_poly;
         ] );
-      ("union_find", [ Alcotest.test_case "basics" `Quick test_union_find ]);
       ( "intmap",
         [
           Alcotest.test_case "basics" `Quick test_intmap_basics;
@@ -554,8 +559,6 @@ let () =
           Alcotest.test_case "online mean/var" `Quick test_online_mean_var;
           test_online_merge;
           Alcotest.test_case "percentile" `Quick test_percentile;
-          Alcotest.test_case "reservoir" `Quick test_reservoir_percentile;
-          Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "timeseries" `Quick test_timeseries;
         ] );
       ( "table",
@@ -569,5 +572,11 @@ let () =
           Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes;
           test_json_round_trip;
           test_json_parser_total;
+        ] );
+      ( "det_sorted",
+        [
+          Alcotest.test_case "sorted views" `Quick test_det_sorted_views;
+          Alcotest.test_case "iter_sorted under mutation" `Quick test_det_iter_mutation;
+          test_det_insertion_order;
         ] );
     ]

@@ -349,7 +349,7 @@ let sample_delta =
 let sample_entry =
   {
     Lazyctrl_openflow.Flow_table.priority = 10;
-    ofmatch = Ofmatch.of_eth (Packet.decap encap_pkt);
+    ofmatch = Ofmatch.of_eth (Packet.eth_of encap_pkt);
     actions = [ Action.Deliver (Ids.Host_id.of_int 2) ];
     idle_timeout = Some (Time.of_sec 60);
     hard_timeout = None;
