@@ -74,6 +74,41 @@ let parse_cached ~root rel =
 let cache_find cache rel =
   List.find_opt (fun c -> String.equal c.c_file rel) cache
 
+(* Repo-relative files with [suffix] under any of [dirs], sorted. *)
+let files_in ~root ~suffix dirs =
+  List.concat_map (fun d -> files_under ~root ~suffix d []) dirs
+  |> List.sort String.compare
+
+let structures cache =
+  List.filter_map
+    (fun c -> match c.c_parse with Ok s -> Some (c.c_file, s) | Error _ -> None)
+    cache
+
+(* What both entry points start from: every scanned file parsed once,
+   and the call graph over the parsed ones plus the reference-only
+   files, built only when a whole-program pass forces it. *)
+type loaded = {
+  files : string list;
+  cache : cached list;
+  parsed : (string * Parsetree.structure) list;
+  cg : Callgraph.t Lazy.t;
+}
+
+let load ~root =
+  let files = files_in ~root ~suffix:".ml" scan_dirs in
+  let cache = List.map (parse_cached ~root) files in
+  let parsed = structures cache in
+  let cg =
+    lazy
+      (let aux =
+         (* reference-only files that fail to parse are dropped silently *)
+         structures
+           (List.map (parse_cached ~root) (files_in ~root ~suffix:".ml" aux_dirs))
+       in
+       Callgraph.build ~files:parsed ~aux)
+  in
+  { files; cache; parsed; cg }
+
 (* --- protocol coverage ------------------------------------------------------ *)
 
 let proto_file = "lib/switch/proto.ml"
@@ -139,11 +174,7 @@ let run ?(families = Rules.families) ~root ~allow_path () =
     || sel (Rules.family_of finding.rule)
   in
   let allow, allow_findings = Allowlist.load allow_path in
-  let files =
-    List.concat_map (fun d -> files_under ~root ~suffix:".ml" d []) scan_dirs
-    |> List.sort String.compare
-  in
-  let cache = List.map (parse_cached ~root) files in
+  let { files; cache; parsed; cg } = load ~root in
   let parse_failures =
     List.filter_map
       (fun c ->
@@ -154,23 +185,11 @@ let run ?(families = Rules.families) ~root ~allow_path () =
   in
   let per_file =
     if not (sel "D" || sel "A") then []
-    else
-      List.concat_map
-        (fun c ->
-          match c.c_parse with
-          | Ok s -> Ast_rules.scan ~file:c.c_file s
-          | Error _ -> [])
-        cache
+    else List.concat_map (fun (file, s) -> Ast_rules.scan ~file s) parsed
   in
   let module_state =
     if not (sel "S") then []
-    else
-      List.concat_map
-        (fun c ->
-          match c.c_parse with
-          | Ok s -> Mutinv.check ~file:c.c_file s
-          | Error _ -> [])
-        cache
+    else List.concat_map (fun (file, s) -> Mutinv.check ~file s) parsed
   in
   let proto = if sel "P" then protocol_findings_cached cache else [] in
   (* Whole-program passes over the shared call graph. *)
@@ -178,23 +197,7 @@ let run ?(families = Rules.families) ~root ~allow_path () =
   let whole_program =
     if not (sel "L" || sel "X" || sel "H") then []
     else begin
-      let parsed =
-        List.filter_map
-          (fun c ->
-            match c.c_parse with Ok s -> Some (c.c_file, s) | Error _ -> None)
-          cache
-      in
-      let aux =
-        List.concat_map
-          (fun d -> files_under ~root ~suffix:".ml" d [])
-          aux_dirs
-        |> List.sort String.compare
-        |> List.filter_map (fun rel ->
-               match (parse_cached ~root rel).c_parse with
-               | Ok s -> Some (rel, s)
-               | Error _ -> None (* reference-only files fail silently *))
-      in
-      let cg = Callgraph.build ~files:parsed ~aux in
+      let cg = Lazy.force cg in
       cg_notes :=
         List.concat_map
           (fun (fi : Callgraph.finfo) ->
@@ -207,12 +210,7 @@ let run ?(families = Rules.families) ~root ~allow_path () =
       let l = if sel "L" then Layering.check cg else [] in
       let x =
         if sel "X" then begin
-          let mli_files =
-            List.concat_map
-              (fun d -> files_under ~root ~suffix:".mli" d [])
-              scan_dirs
-            |> List.sort String.compare
-          in
+          let mli_files = files_in ~root ~suffix:".mli" scan_dirs in
           let intfs =
             List.filter_map
               (fun rel ->
@@ -308,27 +306,11 @@ type hotpath_report = {
 }
 
 let hotpath_check ~root ~allow_path ~budget_path ~measured () =
-  let files =
-    List.concat_map (fun d -> files_under ~root ~suffix:".ml" d []) scan_dirs
-    |> List.sort String.compare
+  let { parsed; cg; _ } = load ~root in
+  let analysis =
+    Hotpath.analyze ~spec:Hotspec.default ~cg:(Lazy.force cg)
+      ~structures:parsed ()
   in
-  let cache = List.map (parse_cached ~root) files in
-  let parsed =
-    List.filter_map
-      (fun c ->
-        match c.c_parse with Ok s -> Some (c.c_file, s) | Error _ -> None)
-      cache
-  in
-  let aux =
-    List.concat_map (fun d -> files_under ~root ~suffix:".ml" d []) aux_dirs
-    |> List.sort String.compare
-    |> List.filter_map (fun rel ->
-           match (parse_cached ~root rel).c_parse with
-           | Ok s -> Some (rel, s)
-           | Error _ -> None)
-  in
-  let cg = Callgraph.build ~files:parsed ~aux in
-  let analysis = Hotpath.analyze ~spec:Hotspec.default ~cg ~structures:parsed () in
   let budget, budget_findings =
     let abs = Filename.concat root budget_path in
     if Sys.file_exists abs then begin

@@ -32,7 +32,13 @@ val estimated_fp_rate : t -> float
     positive given the current fill. *)
 
 module Counting : sig
-  (** Counting Bloom filter with saturating 8-bit counters. *)
+  (** Counting Bloom filter with the semantics of saturating 8-bit
+      counters: an add at 255 is absorbed, and a remove leaves a counter
+      at 0 or 255 unchanged. It stores them as the plain filter's bit
+      array (a bit is set exactly when its counter is above zero) plus a
+      small table holding only the counters of 2 or more, so a filter
+      costs about its bit array, [size / 8] bytes. [mem] is the plain
+      filter's and allocates nothing; an [add] may grow the table. *)
 
   type t
 

@@ -127,9 +127,9 @@ let has_candidate key t =
 let has_candidate_ip t ip = has_candidate (Proto.ip_key ip) t
 
 let storage_bytes t =
-  (* Reported as the plain-Bloom wire size (bits), as in the paper's
-     92,160-byte example; the counting representation is a host-side
-     implementation detail. *)
+  (* The bit arrays, as in the paper's 92,160-byte example. A counting
+     filter keeps exactly this array on the host too, plus a table of
+     the few counters above one, which is not counted here. *)
   Ids.Switch_id.Tbl.fold
     (fun _ f acc -> acc + (Bloom.Counting.size f / 8))
     t.filters 0

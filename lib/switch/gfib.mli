@@ -15,8 +15,10 @@ type t
 val create : ?bits_per_entry:int -> ?expected_hosts_per_switch:int -> unit -> t
 (** Defaults: 128 bits/entry and 64 expected hosts per peer, i.e. a
     2048-byte filter per peer — the paper's 16 blocks of 128 bytes —
-    giving a far-below-0.1% false-positive rate. Filters are sized once
-    per peer and refilled on full syncs. *)
+    giving a far-below-0.1% false-positive rate. The 2048 bytes are also
+    the filter's footprint on the host: a {!Lazyctrl_bloom.Bloom.Counting}
+    filter is that bit array plus a table of the few counters above one.
+    Filters are sized once per peer and refilled on full syncs. *)
 
 val set_peer : t -> Ids.Switch_id.t -> Proto.host_key list -> unit
 (** Full replacement of a peer's filter contents (grouping change / full

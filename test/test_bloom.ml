@@ -86,17 +86,142 @@ let test_counting_clear () =
 
 let test_counting_saturation () =
   let c = Bloom.Counting.create ~counters:64 ~hashes:1 () in
-  (* Push one counter past 255 and verify saturation never underflows
-     membership of other residents. *)
+  (* 300 adds saturate the key's one counter at 255, and a saturated
+     counter is never decremented. *)
   for _ = 1 to 300 do
     Bloom.Counting.add c 7
   done;
   for _ = 1 to 300 do
     Bloom.Counting.remove c 7
   done;
-  (* Saturated counters stay put: membership may remain (over-approximate)
-     but must not crash or go negative. *)
-  ignore (Bloom.Counting.mem c 7)
+  check Alcotest.bool "saturated key stays a member" true
+    (Bloom.Counting.mem c 7);
+  (* A remove at zero does nothing: it neither underflows a counter nor
+     sets a bit. *)
+  let e = Bloom.Counting.create ~counters:64 ~hashes:1 () in
+  Bloom.Counting.remove e 7;
+  for key = 0 to 999 do
+    if Bloom.Counting.mem e key then
+      Alcotest.failf "key %d is a member of an empty filter" key
+  done
+
+(* --- Reference model -------------------------------------------------------- *)
+
+(* The one-byte-per-counter filter that [Counting] replaced, kept as its
+   oracle: the same hashes and probe positions (reduced with [mod] in
+   every geometry), and saturating 8-bit counters held in a byte each. *)
+module Byte_counting = struct
+  let mix x =
+    let x = x lxor (x lsr 30) in
+    let x = x * 0x2545F4914F6CDD1D in
+    let x = x lxor (x lsr 27) in
+    let x = x * 0x3C79AC492BA7B653 in
+    x lxor (x lsr 31)
+
+  let hash1 key = mix key land max_int
+
+  let hash2 h1 =
+    let y = h1 * 0x3C79AC492BA7B653 in
+    ((y lxor (y lsr 32)) land max_int) lor 1
+
+  type t = { counters : Bytes.t; n : int; k : int }
+
+  let create ~hashes ~counters =
+    let n = (counters + 63) / 64 * 64 in
+    { counters = Bytes.make n '\000'; n; k = hashes }
+
+  let iter_positions t key f =
+    let h1 = hash1 key in
+    let step = hash2 h1 mod t.n in
+    let pos = ref (h1 mod t.n) in
+    for _ = 1 to t.k do
+      f !pos;
+      pos := (!pos + step) mod t.n
+    done
+
+  let get t pos = Char.code (Bytes.get t.counters pos)
+  let set t pos v = Bytes.set t.counters pos (Char.chr v)
+
+  let add t key = iter_positions t key (fun p -> set t p (min 255 (get t p + 1)))
+
+  let remove t key =
+    iter_positions t key (fun p ->
+        let v = get t p in
+        if v > 0 && v < 255 then set t p (v - 1))
+
+  let mem t key =
+    let all = ref true in
+    iter_positions t key (fun p -> if get t p = 0 then all := false);
+    !all
+
+  let clear t = Bytes.fill t.counters 0 t.n '\000'
+end
+
+type op = Add of int * int | Remove of int * int | Clear
+
+(* Short runs land counters on each small value, where a counter moves
+   between the bit and the table; long ones saturate them. *)
+let op_gen ~keys =
+  QCheck2.Gen.(
+    let key = int_range 0 (keys - 1)
+    and times = frequency [ (2, int_range 1 4); (1, int_range 1 300) ] in
+    frequency
+      [
+        (10, map2 (fun k r -> Add (k, r)) key times);
+        (6, map2 (fun k r -> Remove (k, r)) key times);
+        (1, pure Clear);
+      ])
+
+let print_op = function
+  | Add (k, r) -> Printf.sprintf "add %d x%d" k r
+  | Remove (k, r) -> Printf.sprintf "remove %d x%d" k r
+  | Clear -> "clear"
+
+(* After every operation, [Counting] and the byte-counter oracle agree on
+   [mem] for every key of a probe range wider than the key space. *)
+let reference_prop ~hashes ~counters =
+  let gen =
+    QCheck2.Gen.(
+      int_range 1 12 >>= fun keys ->
+      list_size (int_range 1 40) (op_gen ~keys))
+  in
+  QCheck2.Test.make ~count:200
+    ~name:
+      (Printf.sprintf "counting = byte counters (%d counters, %d hashes)"
+         counters hashes)
+    ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+    gen
+    (fun ops ->
+      let c = Bloom.Counting.create ~hashes ~counters () in
+      let o = Byte_counting.create ~hashes ~counters in
+      let repeat r f = for _ = 1 to r do f () done in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add (k, r) ->
+              repeat r (fun () ->
+                  Bloom.Counting.add c k;
+                  Byte_counting.add o k)
+          | Remove (k, r) ->
+              repeat r (fun () ->
+                  Bloom.Counting.remove c k;
+                  Byte_counting.remove o k)
+          | Clear ->
+              Bloom.Counting.clear c;
+              Byte_counting.clear o);
+          List.for_all
+            (fun k -> Bool.equal (Bloom.Counting.mem c k) (Byte_counting.mem o k))
+            (List.init 64 Fun.id))
+        ops)
+  |> QCheck_alcotest.to_alcotest
+
+let test_reference_geometries () =
+  (* 150 counters round up to 192, which is not a power of two, so those
+     probes reduce with [mod]; the other two geometries take the mask. *)
+  check Alcotest.(list int) "sizes" [ 64; 192; 16_384 ]
+    (List.map
+       (fun counters -> Bloom.Counting.size (Bloom.Counting.create ~counters ()))
+       [ 64; 150; 16_384 ])
 
 let () =
   Alcotest.run "bloom"
@@ -115,5 +240,12 @@ let () =
           Alcotest.test_case "remove clears" `Quick test_counting_remove_clears;
           Alcotest.test_case "clear" `Quick test_counting_clear;
           Alcotest.test_case "saturation" `Quick test_counting_saturation;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "geometries" `Quick test_reference_geometries;
+          reference_prop ~hashes:1 ~counters:64;
+          reference_prop ~hashes:4 ~counters:150;
+          reference_prop ~hashes:4 ~counters:16_384;
         ] );
     ]

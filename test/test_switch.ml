@@ -119,6 +119,23 @@ let test_gfib_storage () =
   (* 128 bits x 2 keys x 64 hosts = 16384 bits = 2048 bytes. *)
   check Alcotest.int "2048 bytes per peer" 2048 (Gfib.storage_bytes g)
 
+(* The host-side footprint matches the wire one: a peer costs its 2 KB
+   bit array (256 words) plus a few words of bookkeeping, not a byte per
+   counter (2,048 words for the array alone). The benchmark's groups
+   have up to 14 switches, and its 7,251 hosts over 272 switches are
+   about 27 per switch, so this G-FIB holds 13 peers of 27 hosts. It
+   measured 288 words per peer (one byte per counter: 2,069). *)
+let test_gfib_footprint () =
+  let g = Gfib.create () in
+  for p = 1 to 13 do
+    Gfib.set_peer g (sid p) (List.init 27 (fun i -> key_of (host ((p * 100) + i))))
+  done;
+  (* A probe builds the peer cache, as the datapath's first packet does. *)
+  ignore (Gfib.candidates_mac g (host 101).Host.mac);
+  let per_peer = Obj.reachable_words (Obj.repr g) / 13 in
+  if per_peer > 320 then
+    Alcotest.failf "%d words per peer, over the bound of 320" per_peer
+
 (* --- Edge switch with a recording environment --------------------------------- *)
 
 type recorded = {
@@ -549,6 +566,7 @@ let () =
           Alcotest.test_case "set and query" `Quick test_gfib_set_and_query;
           Alcotest.test_case "advert lifecycle" `Quick test_gfib_advert_lifecycle;
           Alcotest.test_case "storage geometry" `Quick test_gfib_storage;
+          Alcotest.test_case "host footprint" `Quick test_gfib_footprint;
         ] );
       ( "datapath (Fig. 5)",
         [
