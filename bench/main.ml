@@ -168,6 +168,37 @@ let perf_gfib_probe ?(name = "gfib-probe") () =
        workload);
   ignore !sink
 
+(* gfib-readvert: the periodic full re-advert — [Gfib.set_peer] with a
+   peer's unchanged 27-host list, round-robin over a 13-peer G-FIB, the
+   benchmark's group shape.  Host ids stride by 272, as the hosts of one
+   switch spread over a 272-switch placement. *)
+let perf_gfib_readvert () =
+  let module Gfib = Lazyctrl_switch.Gfib in
+  let n_peers = 13 in
+  let n = perf_scale 200_000 in
+  let gfib = Gfib.create ~bits_per_entry:128 ~expected_hosts_per_switch:64 () in
+  let peers = Array.init n_peers (fun p -> Lazyctrl_net.Ids.Switch_id.of_int (p + 1)) in
+  let lists =
+    Array.init n_peers (fun p ->
+        List.init 27 (fun i ->
+            let hid = (i * 272) + p in
+            {
+              Lazyctrl_switch.Proto.mac = Lazyctrl_net.Mac.of_host_id hid;
+              ip = Lazyctrl_net.Ipv4.of_host_id hid;
+              tenant = Lazyctrl_net.Ids.Tenant_id.of_int 0;
+            }))
+  in
+  Array.iteri (fun p keys -> Gfib.set_peer gfib peers.(p) keys) lists;
+  let workload () =
+    for i = 0 to n - 1 do
+      let p = i mod n_peers in
+      Gfib.set_peer gfib (Array.unsafe_get peers p) (Array.unsafe_get lists p)
+    done
+  in
+  perf_record
+    (Perf.Measure.run ~name:"gfib-readvert" ~reps:(perf_reps ()) ~ops_per_rep:n
+       workload)
+
 (* packet-replay: end-to-end — a small lazy-mode network, per-tenant
    traffic, everything from ARP resolution through G-FIB encap to
    delivery.  Ops are delivered packets; events are engine firings.
@@ -680,6 +711,7 @@ let t_perf () =
   perf_bloom_query ();
   perf_lfib_lookup ();
   perf_gfib_probe ();
+  perf_gfib_readvert ();
   perf_wire_encode ();
   perf_wire_decode ();
   perf_buffered_punt ();

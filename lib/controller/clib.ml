@@ -42,6 +42,11 @@ let bump_tenant t tenant sw delta =
   let v = delta + Option.value (Hashtbl.find_opt tbl sw) ~default:0 in
   if v <= 0 then Hashtbl.remove tbl sw else Hashtbl.replace tbl sw v
 
+(* Two invariants hold between the indexes: a switch's row holds a MAC
+   exactly when [by_mac] places it at that switch, under the same key;
+   and a tenant's presence at a switch counts the row's keys of that
+   tenant. [apply_delta]'s skip relies on both. *)
+
 let add t sw (key : Proto.host_key) =
   let mac = Mac.to_int key.mac in
   (* A MAC seen elsewhere moved (VM migration): retract the old entry. *)
@@ -50,11 +55,16 @@ let add t sw (key : Proto.host_key) =
       Hashtbl.remove (switch_table t old.at) mac;
       bump_tenant t old.key.tenant old.at (-1)
   | _ -> ());
-  let fresh = not (Hashtbl.mem (switch_table t sw) mac) in
+  let tbl = switch_table t sw in
+  (match Hashtbl.find_opt tbl mac with
+  | None -> bump_tenant t key.tenant sw 1
+  | Some (held : Proto.host_key) when not (Tid.equal held.tenant key.tenant) ->
+      bump_tenant t held.tenant sw (-1);
+      bump_tenant t key.tenant sw 1
+  | Some _ -> ());
   Hashtbl.replace t.by_mac mac { key; at = sw };
   Hashtbl.replace t.by_ip (Ipv4.to_int key.ip) { key; at = sw };
-  Hashtbl.replace (switch_table t sw) mac key;
-  if fresh then bump_tenant t key.tenant sw 1
+  Hashtbl.replace tbl mac key
 
 let remove t sw (key : Proto.host_key) =
   let mac = Mac.to_int key.mac in
@@ -63,7 +73,7 @@ let remove t sw (key : Proto.host_key) =
       Hashtbl.remove t.by_mac mac;
       Hashtbl.remove t.by_ip (Ipv4.to_int key.ip);
       Hashtbl.remove (switch_table t sw) mac;
-      bump_tenant t key.tenant sw (-1)
+      bump_tenant t entry.key.tenant sw (-1)
   | _ -> () (* stale removal, superseded by a newer location *)
 
 let set_row t sw keys =
@@ -76,8 +86,36 @@ let set_row t sw keys =
   List.iter (remove t sw) old;
   List.iter (add t sw) keys
 
+(* Is [keys] the row of [sw] as every index already holds it, so that
+   [set_row t sw keys] would put back exactly what it takes out? Each key
+   must be in the row, hence in [by_mac] at [sw], and in [by_ip] at [sw];
+   the row must hold no other key; and the MACs must ascend, which rules
+   out a MAC listed twice (every L-FIB and C-LIB row is listed in MAC
+   order). Then each tenant's presence drops by its keys and regains
+   them. *)
+let holds_row t sw keys =
+  match Sid.Tbl.find_opt t.by_switch sw with
+  | None -> false
+  | Some tbl ->
+      let rec go prev n = function
+        | [] -> n = Hashtbl.length tbl
+        | (k : Proto.host_key) :: rest -> (
+            let mac = Mac.to_int k.mac in
+            mac > prev
+            && (match Hashtbl.find_opt tbl mac with
+               | Some held -> Proto.host_key_equal held k
+               | None -> false)
+            &&
+            match Hashtbl.find_opt t.by_ip (Ipv4.to_int k.ip) with
+            | Some e -> Sid.equal e.at sw && Proto.host_key_equal e.key k && go mac (n + 1) rest
+            | None -> false)
+      in
+      go (-1) 0 keys
+
 let apply_delta t (d : Proto.lfib_delta) =
-  if d.full then set_row t d.origin d.added
+  if d.full then begin
+    if not (holds_row t d.origin d.added) then set_row t d.origin d.added
+  end
   else begin
     List.iter (remove t d.origin) d.removed;
     List.iter (add t d.origin) d.added

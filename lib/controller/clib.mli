@@ -14,7 +14,12 @@ type t
 val create : unit -> t
 
 val apply_delta : t -> Proto.lfib_delta -> unit
-(** Incremental or full-row update from a state report. *)
+(** Incremental or full-row update from a state report. A full delta
+    goes through {!set_row}, except that one listing, in ascending MAC
+    order, exactly the keys the switch's row holds, each also placed at
+    that switch by the MAC and IP indexes, is a no-op: the rebuild would
+    put back what it takes out. A list that repeats a MAC or is out of
+    MAC order always rebuilds. *)
 
 val set_row : t -> Ids.Switch_id.t -> Proto.host_key list -> unit
 

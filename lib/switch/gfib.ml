@@ -1,10 +1,15 @@
 open Lazyctrl_net
 module Bloom = Lazyctrl_bloom.Bloom
 
+(* A peer's filter, and the record (below) of the full list it was last
+   rebuilt from: [None] while no full list has rebuilt it since it was
+   created or since an incremental advert last touched it. *)
+type peer = { filter : Bloom.Counting.t; mutable synced : string option }
+
 type t = {
   bits_per_entry : int;
   expected : int;
-  filters : Bloom.Counting.t Ids.Switch_id.Tbl.t;
+  filters : peer Ids.Switch_id.Tbl.t;
   (* Peers sorted ascending by id, rebuilt lazily after membership
      changes. Per-packet probes walk this array instead of folding and
      sorting the hashtable, which kept the old implementation both slow
@@ -29,7 +34,7 @@ let invalidate t = t.peer_cache <- None
    boundary in the H00x hot-path spec. *)
 let rebuild_peer_cache t =
   let a =
-    Ids.Switch_id.Tbl.fold (fun p f acc -> (p, f) :: acc) t.filters []
+    Ids.Switch_id.Tbl.fold (fun p e acc -> (p, e.filter) :: acc) t.filters []
     |> List.sort (fun (a, _) (b, _) -> Ids.Switch_id.compare a b)
     |> Array.of_list
   in
@@ -50,25 +55,89 @@ let add_keys filter (keys : Proto.host_key list) =
       Bloom.Counting.add filter (Proto.ip_key k.ip))
     keys
 
-(* The peer's filter, created empty on first use. *)
-let filter_of t peer =
+(* The peer's entry, created empty on first use. *)
+let peer_of t peer =
   match Ids.Switch_id.Tbl.find_opt t.filters peer with
-  | Some f -> f
+  | Some e -> e
   | None ->
-      let f = fresh_filter t in
-      Ids.Switch_id.Tbl.replace t.filters peer f;
+      let e = { filter = fresh_filter t; synced = None } in
+      Ids.Switch_id.Tbl.replace t.filters peer e;
       invalidate t;
-      f
+      e
+
+(* A full list's record holds each host's MAC and then its IP, each as
+   its difference from the previous host's (from 0 for the first),
+   zigzag-mapped to a non-negative int and written as a varint: 7 bits a
+   byte, low bits first, the high bit set on every byte but the last.
+   [Proto.mac_key] and [Proto.ip_key] are injective, so lists with equal
+   records add the same Bloom keys in the same order. A list in
+   ascending MAC order, as L-FIBs and C-LIB rows are sent, costs a few
+   bytes per host. *)
+let zigzag d = (d lsl 1) lxor (d asr 62)
+
+let rec put_varint b o v =
+  if v < 0x80 then begin
+    Bytes.set b o (Char.chr v);
+    o + 1
+  end
+  else begin
+    Bytes.set b o (Char.chr (0x80 lor (v land 0x7f)));
+    put_varint b (o + 1) (v lsr 7)
+  end
+
+let record keys =
+  (* Zigzagged, a difference of 48-bit MACs is below 2^49 (7 bytes) and
+     one of 32-bit IPs below 2^33 (5 bytes): at most 12 bytes a host. *)
+  let b = Bytes.create (12 * List.length keys) in
+  let rec put o mac ip = function
+    | [] -> o
+    | (k : Proto.host_key) :: rest ->
+        let m = Mac.to_int k.mac and i = Ipv4.to_int k.ip in
+        let o = put_varint b o (zigzag (m - mac)) in
+        put (put_varint b o (zigzag (i - ip))) m i rest
+  in
+  Bytes.sub_string b 0 (put 0 0 0 keys)
+
+(* The offset past the varint of [v] at offset [o] of [s], or -1 when
+   [s] holds something else there. *)
+let rec match_varint s o v =
+  if o >= String.length s then -1
+  else
+    let c = Char.code (String.unsafe_get s o) in
+    if c < 0x80 then if v = c then o + 1 else -1
+    else if v land 0x7f = c land 0x7f then match_varint s (o + 1) (v lsr 7)
+    else -1
+
+(* Is [s], from offset [o] on, the record of [keys] following a host
+   with [mac] and [ip]? *)
+let rec matches s o mac ip = function
+  | [] -> o = String.length s
+  | (k : Proto.host_key) :: rest ->
+      let m = Mac.to_int k.mac and i = Ipv4.to_int k.ip in
+      let o = match_varint s o (zigzag (m - mac)) in
+      o >= 0
+      &&
+      let o = match_varint s o (zigzag (i - ip)) in
+      o >= 0 && matches s o m i rest
 
 (* A known peer's filter is refilled in place: cleared, it equals a fresh
-   one of the same geometry, and the peer cache keeps aliasing it. *)
+   one of the same geometry, and the peer cache keeps aliasing it. A list
+   equal to the one the filter was last rebuilt from, with no advert
+   since, would refill the same counters, so it leaves the filter as it
+   is. *)
 let set_peer t peer keys =
-  let filter = filter_of t peer in
-  Bloom.Counting.clear filter;
-  add_keys filter keys
+  let e = peer_of t peer in
+  match e.synced with
+  | Some s when matches s 0 0 0 keys -> ()
+  | _ ->
+      Bloom.Counting.clear e.filter;
+      add_keys e.filter keys;
+      e.synced <- Some (record keys)
 
 let apply_advert t peer ~added ~removed =
-  let filter = filter_of t peer in
+  let e = peer_of t peer in
+  e.synced <- None;
+  let filter = e.filter in
   add_keys filter added;
   List.iter
     (fun (k : Proto.host_key) ->
@@ -131,7 +200,7 @@ let storage_bytes t =
      filter keeps exactly this array on the host too, plus a table of
      the few counters above one, which is not counted here. *)
   Ids.Switch_id.Tbl.fold
-    (fun _ f acc -> acc + (Bloom.Counting.size f / 8))
+    (fun _ e acc -> acc + (Bloom.Counting.size e.filter / 8))
     t.filters 0
 
 let clear t =

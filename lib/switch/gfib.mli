@@ -22,7 +22,15 @@ val create : ?bits_per_entry:int -> ?expected_hosts_per_switch:int -> unit -> t
 
 val set_peer : t -> Ids.Switch_id.t -> Proto.host_key list -> unit
 (** Full replacement of a peer's filter contents (grouping change / full
-    sync); a known peer's filter is cleared and refilled in place. *)
+    sync); a known peer's filter is cleared and refilled in place.
+
+    A list with the same MACs and IPs, host for host and in order, as
+    the one the peer's filter was last rebuilt from is a no-op, provided
+    no {!apply_advert} has touched that peer since: refilling would set
+    the same counters.
+    {!drop_peer} and {!clear} forget the list with the filter. The
+    G-FIB keeps each list's MACs and IPs as varint deltas, a few bytes
+    per host when the list ascends by MAC, as L-FIBs are sent. *)
 
 val apply_advert :
   t -> Ids.Switch_id.t -> added:Proto.host_key list -> removed:Proto.host_key list -> unit

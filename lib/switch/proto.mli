@@ -39,7 +39,10 @@ type lfib_delta = {
   removed : host_key list;
   full : bool;
       (* when true, [added] is the origin's complete table and receivers
-         rebuild their filter instead of applying a delta *)
+         rebuild their filter (the controller its C-LIB row) instead of
+         applying a delta; a table equal to what the receiver already
+         holds from the origin leaves it untouched (Gfib.set_peer,
+         Clib.apply_delta) *)
 }
 
 type t =

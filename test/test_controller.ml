@@ -80,6 +80,108 @@ let test_clib_tenants () =
   | Some t -> check Alcotest.int "tenant of mac" 2 (Ids.Tenant_id.to_int t)
   | None -> Alcotest.fail "tenant lookup failed"
 
+(* qcheck: a C-LIB agrees, after every step, with an oracle that sends
+   every full delta through [Clib.set_row], so a full delta that
+   [apply_delta] skips would have rebuilt exactly the same indexes. *)
+type clib_step =
+  | Full of int * int list  (** switch, hosts: sorted by MAC, repeats kept *)
+  | Same_row of int  (** the switch's row as the C-LIB holds it *)
+  | Dup_row of int  (** that row with its last key replaced by its first *)
+  | Incr of int * int list * int list  (** switch, added, removed *)
+
+(* Eight hosts in two tenants; host 7 takes host 3's IP. Key 8 is host
+   0's MAC and IP re-announced under tenant 1. *)
+let clib_keys =
+  let k i = key_of (host ~tenant:(i mod 2) i) in
+  Array.append
+    (Array.init 8 (fun i -> if i = 7 then { (k 7) with Proto.ip = (k 3).Proto.ip } else k i))
+    [| { (k 0) with Proto.tenant = tid 1 } |]
+
+let pp_clib_step =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  function
+  | Full (sw, hs) -> Printf.sprintf "full %d [%s]" sw (ints hs)
+  | Same_row sw -> Printf.sprintf "same-row %d" sw
+  | Dup_row sw -> Printf.sprintf "dup-row %d" sw
+  | Incr (sw, a, r) -> Printf.sprintf "incr %d +[%s] -[%s]" sw (ints a) (ints r)
+
+let gen_clib_steps =
+  let open QCheck2.Gen in
+  let sw = int_range 1 3 in
+  let hosts = list_size (int_range 0 5) (int_range 0 (Array.length clib_keys - 1)) in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         (3, map2 (fun s hs -> Full (s, hs)) sw hosts);
+         (4, map (fun s -> Same_row s) sw);
+         (1, map (fun s -> Dup_row s) sw);
+         (4, map3 (fun s a r -> Incr (s, a, r)) sw hosts hosts);
+       ])
+
+let clib_matches_rebuilding_oracle steps =
+  let subject = Clib.create () and oracle = Clib.create () in
+  let by_mac = List.stable_sort (fun (a : Proto.host_key) b -> Mac.compare a.mac b.mac) in
+  let full sw keys =
+    Clib.apply_delta subject { Proto.origin = sid sw; added = keys; removed = []; full = true };
+    Clib.set_row oracle (sid sw) keys
+  in
+  let step = function
+    | Full (sw, hs) -> full sw (by_mac (List.map (Array.get clib_keys) hs))
+    | Same_row sw -> full sw (Clib.row subject (sid sw))
+    | Dup_row sw -> (
+        match Clib.row subject (sid sw) with
+        | first :: _ :: _ as row ->
+            full sw (by_mac (first :: List.rev (List.tl (List.rev row))))
+        | _ -> ())
+    | Incr (sw, a, r) ->
+        let d =
+          {
+            Proto.origin = sid sw;
+            added = List.map (Array.get clib_keys) a;
+            removed = List.map (Array.get clib_keys) r;
+            full = false;
+          }
+        in
+        Clib.apply_delta subject d;
+        Clib.apply_delta oracle d
+  in
+  let same_keys = List.equal Proto.host_key_equal in
+  let same_sw = Option.equal Ids.Switch_id.equal in
+  let agree () =
+    Int.equal (Clib.n_entries subject) (Clib.n_entries oracle)
+    && List.for_all
+         (fun sw -> same_keys (Clib.row subject (sid sw)) (Clib.row oracle (sid sw)))
+         [ 1; 2; 3 ]
+    && List.for_all
+         (fun t ->
+           List.equal Ids.Switch_id.equal
+             (Clib.switches_of_tenant subject (tid t))
+             (Clib.switches_of_tenant oracle (tid t)))
+         [ 0; 1 ]
+    && Array.for_all
+         (fun (k : Proto.host_key) ->
+           same_sw (Clib.locate_mac subject k.mac) (Clib.locate_mac oracle k.mac)
+           && Option.equal Ids.Tenant_id.equal
+                (Clib.tenant_of_mac subject k.mac)
+                (Clib.tenant_of_mac oracle k.mac)
+           && Option.equal
+                (fun (a, ka) (b, kb) -> Ids.Switch_id.equal a b && Proto.host_key_equal ka kb)
+                (Clib.locate_ip subject k.ip) (Clib.locate_ip oracle k.ip))
+         clib_keys
+  in
+  List.for_all
+    (fun s ->
+      step s;
+      agree ())
+    steps
+
+let test_clib_skip_exact =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"qcheck: full rows agree with a set_row oracle"
+       ~print:(fun steps -> String.concat ", " (List.map pp_clib_step steps))
+       gen_clib_steps clib_matches_rebuilding_oracle)
+
 (* --- Failover inference (Table I, exhaustive) ----------------------------------- *)
 
 let verdict_t = Alcotest.testable Failover.pp_verdict Failover.verdict_equal
@@ -569,6 +671,7 @@ let () =
           Alcotest.test_case "migration" `Quick test_clib_migration;
           Alcotest.test_case "full row" `Quick test_clib_full_row;
           Alcotest.test_case "tenants" `Quick test_clib_tenants;
+          test_clib_skip_exact;
         ] );
       ( "failover",
         [

@@ -284,7 +284,7 @@ let test_openflow_latency_higher_than_lazy () =
    mid-run.  The constants pin the OpenFlow plane's simulated
    observables, which must not depend on how many engine events carry a
    flood's host deliveries (DESIGN.md §6). *)
-let of_pinned_run () =
+let pinned_run ?controller_config mode =
   let topo =
     Placement.generate ~rng:(Prng.create 23)
       {
@@ -301,14 +301,27 @@ let of_pinned_run () =
       ~duration:(Time.of_hour 6) ()
   in
   let net =
-    Network.create ~mode:Network.Openflow ~topo ~horizon:(Time.of_hour 6) ()
+    Network.create ?controller_config ~mode ~topo ~horizon:(Time.of_hour 6) ()
   in
+  (match mode with
+  | Network.Lazy -> Network.bootstrap net ()
+  | Network.Openflow -> ());
   Network.replay net trace;
   Network.run net ~until:(Time.of_hour 3);
   let moved = List.hd (Topology.hosts topo) in
   let from = Ids.Switch_id.to_int (Topology.location topo moved.Host.id) in
   Network.migrate_host net moved.Host.id ~to_:(sid ((from + 1) mod 8));
   Network.run net ~until:(Time.of_hour 6);
+  net
+
+let latency_series net =
+  Recorder.first_latency_ms_series (Network.recorder net)
+  |> Array.to_list
+  |> List.map (Printf.sprintf "%.9f")
+  |> String.concat " "
+
+let of_pinned_run () =
+  let net = pinned_run Network.Openflow in
   let module Ofc = Lazyctrl_baseline.Of_controller in
   let module Ofs = Lazyctrl_baseline.Of_switch in
   let c = Ofc.stats (Option.get (Network.of_controller net)) in
@@ -334,10 +347,7 @@ let of_pinned_run () =
       ("switch punted", sum (fun s -> s.Ofs.punted));
       ("recorder requests", Recorder.total_requests recorder);
     ],
-    Recorder.first_latency_ms_series recorder
-    |> Array.to_list
-    |> List.map (Printf.sprintf "%.9f")
-    |> String.concat " " )
+    latency_series net )
 
 let test_openflow_pinned () =
   let counts, series = of_pinned_run () in
@@ -361,6 +371,41 @@ let test_openflow_pinned () =
     counts;
   check Alcotest.string "first-packet latency series (ms)"
     "6.674202899 6.711129032 6.653181818" series
+
+(* The same data centre, trace and migration on the lazy plane, in two
+   groups of four so that cross-group flows reach the controller and
+   its C-LIB. At the default 60 s sync every switch re-sends its whole
+   L-FIB every 5 min, so the run crosses dozens of full re-advert
+   cycles: the constants pin that a re-advert equal to what a G-FIB or
+   the C-LIB already holds changes nothing a run can observe. *)
+let test_lazy_pinned () =
+  let controller_config = { Controller.default_config with group_size_limit = 4 } in
+  let net = pinned_run ~controller_config Network.Lazy in
+  let c = Controller.stats (Option.get (Network.lazy_controller net)) in
+  let s = Network.switch_stats_sum net in
+  let module Es = Lazyctrl_switch.Edge_switch in
+  check Alcotest.(list (pair string int)) "observables"
+    [
+      ("flows delivered", 400);
+      ("controller requests", 810);
+      ("controller state_reports", 720);
+      ("switch gfib_handled", 307);
+      ("switch fp_drops", 0);
+      ("switch punted", 60);
+      ("clib entries", 36);
+    ]
+    [
+      ("flows delivered", Host_model.flows_delivered (Network.host_model net));
+      ("controller requests", c.Controller.requests);
+      ("controller state_reports", c.Controller.state_reports);
+      ("switch gfib_handled", s.Es.gfib_handled);
+      ("switch fp_drops", s.Es.fp_drops);
+      ("switch punted", s.Es.punted);
+      ( "clib entries",
+        Clib.n_entries (Controller.clib (Option.get (Network.lazy_controller net))) );
+    ];
+  check Alcotest.string "first-packet latency series (ms)"
+    "0.702377622 0.893790323 0.930225564" (latency_series net)
 
 let test_modes_accessors () =
   let net = make () in
@@ -429,6 +474,7 @@ let () =
           Alcotest.test_case "switch failover" `Quick test_lazy_switch_failover_end_to_end;
           Alcotest.test_case "data-path detour" `Quick test_lazy_data_path_detour;
           Alcotest.test_case "deploy host" `Quick test_deploy_host;
+          Alcotest.test_case "pinned observables" `Quick test_lazy_pinned;
         ] );
       ( "openflow end-to-end",
         [

@@ -136,6 +136,117 @@ let test_gfib_footprint () =
   if per_peer > 320 then
     Alcotest.failf "%d words per peer, over the bound of 320" per_peer
 
+(* qcheck: a G-FIB answers, after every step, as an oracle that keeps
+   one counting filter per peer and clears and refills it on every full
+   list, so a full list that [set_peer] leaves as it is would have
+   refilled exactly the same counters. *)
+type gfib_step =
+  | Full of int * int list  (** peer, hosts *)
+  | Refull of int  (** the peer's previous full list again *)
+  | Advert of int * int list * int list  (** peer, added, removed *)
+  | Drop of int
+  | Clear
+
+let pp_gfib_step = function
+  | Full (p, hs) ->
+      Printf.sprintf "full %d [%s]" p (String.concat ";" (List.map string_of_int hs))
+  | Refull p -> Printf.sprintf "refull %d" p
+  | Advert (p, a, r) ->
+      Printf.sprintf "advert %d +[%s] -[%s]" p
+        (String.concat ";" (List.map string_of_int a))
+        (String.concat ";" (List.map string_of_int r))
+  | Drop p -> Printf.sprintf "drop %d" p
+  | Clear -> "clear"
+
+let gfib_universe = 24
+let gfib_peers = 4
+
+let gen_gfib_steps =
+  let open QCheck2.Gen in
+  let peer = int_range 1 gfib_peers in
+  (* Up to six draws from 24 hosts: some lists are empty, many repeat a
+     host, and removes often name a host never added. *)
+  let hosts = list_size (int_range 0 6) (int_range 0 (gfib_universe - 1)) in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         (3, map2 (fun p hs -> Full (p, hs)) peer hosts);
+         (3, map (fun p -> Refull p) peer);
+         (3, map3 (fun p a r -> Advert (p, a, r)) peer hosts hosts);
+         (1, map (fun p -> Drop p) peer);
+         (1, pure Clear);
+       ])
+
+let gfib_matches_rebuilding_oracle steps =
+  let module Counting = Lazyctrl_bloom.Bloom.Counting in
+  let g = Gfib.create ~bits_per_entry:128 ~expected_hosts_per_switch:64 () in
+  let oracle = Array.make (gfib_peers + 1) None in
+  let last = Array.make (gfib_peers + 1) [] in
+  let keys = List.map (fun i -> key_of (host i)) in
+  let filter p =
+    match oracle.(p) with
+    | Some f -> f
+    | None ->
+        let f = Counting.create ~counters:(128 * 2 * 64) () in
+        oracle.(p) <- Some f;
+        f
+  in
+  let update op f hs =
+    List.iter
+      (fun (k : Proto.host_key) ->
+        op f (Proto.mac_key k.mac);
+        op f (Proto.ip_key k.ip))
+      (keys hs)
+  in
+  let full p hs =
+    last.(p) <- hs;
+    Gfib.set_peer g (sid p) (keys hs);
+    let f = filter p in
+    Counting.clear f;
+    update Counting.add f hs
+  in
+  let step = function
+    | Full (p, hs) -> full p hs
+    | Refull p -> full p last.(p)
+    | Advert (p, added, removed) ->
+        Gfib.apply_advert g (sid p) ~added:(keys added) ~removed:(keys removed);
+        update Counting.add (filter p) added;
+        update Counting.remove (filter p) removed
+    | Drop p ->
+        Gfib.drop_peer g (sid p);
+        oracle.(p) <- None
+    | Clear ->
+        Gfib.clear g;
+        Array.fill oracle 0 (Array.length oracle) None
+  in
+  let expected key =
+    List.filter
+      (fun p ->
+        match oracle.(p) with Some f -> Counting.mem f key | None -> false)
+      (List.init gfib_peers (fun i -> i + 1))
+  in
+  let agrees got key = List.equal Int.equal (List.map Ids.Switch_id.to_int got) (expected key) in
+  let answers_as_oracle () =
+    List.for_all
+      (fun i ->
+        let h = host i in
+        agrees (Gfib.candidates_mac g h.Host.mac) (Proto.mac_key h.Host.mac)
+        && agrees (Gfib.candidates_ip g h.Host.ip) (Proto.ip_key h.Host.ip))
+      (List.init gfib_universe Fun.id)
+  in
+  List.for_all
+    (fun s ->
+      step s;
+      answers_as_oracle ())
+    steps
+
+let test_gfib_skip_exact =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"qcheck: full lists answer as a rebuilding oracle"
+       ~print:(fun steps -> String.concat ", " (List.map pp_gfib_step steps))
+       gen_gfib_steps gfib_matches_rebuilding_oracle)
+
 (* --- Edge switch with a recording environment --------------------------------- *)
 
 type recorded = {
@@ -567,6 +678,7 @@ let () =
           Alcotest.test_case "advert lifecycle" `Quick test_gfib_advert_lifecycle;
           Alcotest.test_case "storage geometry" `Quick test_gfib_storage;
           Alcotest.test_case "host footprint" `Quick test_gfib_footprint;
+          test_gfib_skip_exact;
         ] );
       ( "datapath (Fig. 5)",
         [
