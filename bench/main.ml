@@ -67,6 +67,51 @@ let perf_engine_event () =
        ~events:(fun () -> !fired)
        workload)
 
+(* engine-mix: the engine at steady state under day-lazy's delays.  A
+   population of 4,096 events stays pending (day-lazy holds ~5k); each
+   op is one step whose event schedules its successor with the next
+   delay of a fixed draw from the benchmark's measured mix: 150 us peer
+   link 39.5%, 30 s 17.6%, 1 ms control link 12.2%, 20 us host port
+   8.9%, 2 min sync 2.2%, 250 us underlay 1.5%, the rest uniform in
+   [0, 60 s).  The uniform draws of engine-event and hp-engine-step are
+   the one pattern the engine's delay lanes do not serve. *)
+let perf_engine_mix () =
+  let module Engine = Lazyctrl_sim.Engine in
+  let module Time = Lazyctrl_sim.Time in
+  let module Prng = Lazyctrl_util.Prng in
+  let n = perf_scale 200_000 in
+  let delays =
+    let rng = Prng.create 43 in
+    Array.init 65_536 (fun _ ->
+        let u = Prng.int rng 1000 in
+        if u < 395 then Time.of_us 150
+        else if u < 571 then Time.of_sec 30
+        else if u < 693 then Time.of_ms 1
+        else if u < 782 then Time.of_us 20
+        else if u < 804 then Time.of_min 2
+        else if u < 819 then Time.of_us 250
+        else Time.of_ns (Prng.int rng 60_000_000_000))
+  in
+  let e = Engine.create () in
+  let next = ref 0 in
+  let rec refill () =
+    let d = Array.unsafe_get delays (!next land 65_535) in
+    incr next;
+    ignore (Engine.schedule e ~after:d refill)
+  in
+  for _ = 1 to 4_096 do
+    refill ()
+  done;
+  let workload () =
+    for _ = 1 to n do
+      ignore (Engine.step e)
+    done
+  in
+  perf_record
+    (Perf.Measure.run ~name:"engine-mix" ~reps:(perf_reps ()) ~ops_per_rep:n
+       ~events:(fun () -> Engine.events_processed e)
+       workload)
+
 (* bloom-query: membership probes on a G-FIB-sized plain filter, mixed
    hits and misses.  [name] lets the hotpath suite reuse the same
    steady-state workload under its probe id. *)
@@ -708,6 +753,7 @@ let t_perf () =
   section "Perf regression targets (lib/perf; --json FILE for the report)";
   Printf.printf "%-16s %14s %12s %12s\n" "target" "ops/sec" "ns/op" "B/op";
   perf_engine_event ();
+  perf_engine_mix ();
   perf_bloom_query ();
   perf_lfib_lookup ();
   perf_gfib_probe ();

@@ -52,9 +52,9 @@ type lazy_plane = {
   alive : bool array; (* per controller *)
   cut : bool array; (* per controller: partitioned off the coordination mesh *)
   group_size_limit : int; (* for the cluster's initial grouping *)
-  peers : (int * int, Edge_switch.msg Channel.t) Hashtbl.t array;
-      (* per sending shard: a lazily created link is registered by the
-         shard that sends on it *)
+  peers : (int, Edge_switch.msg Channel.t) Hashtbl.t array;
+      (* per sending shard, keyed by [peer_key]: a lazily created link is
+         registered by the shard that sends on it *)
   relay : (int, Sid.t) Hashtbl.t;
       (* switch under control-link failover -> via; controller shard *)
   loss_rng : Prng.t; (* parent stream for per-channel loss sub-streams *)
@@ -224,13 +224,17 @@ let apply_loss loss_rng spec ch =
   | Some spec ->
       Channel.set_loss ch ~rng:(Prng.named loss_rng ("loss:" ^ Channel.name ch)) spec
 
-(* The directed peer link [key] = (src, dst), created on first use with
-   the plane's current peer loss on the sending switch's shard, which
-   registers it in its own table of [peers]. *)
+(* One int per directed peer link (src, dst) among [n] switches. Keys
+   ascend in (src, dst) order, as [Det.pair_compare] sorts the pairs. *)
+let peer_key n ~src ~dst = (src * n) + dst
+
+(* The directed peer link from switch [src] to [dst], created on first
+   use with the plane's current peer loss on the sending switch's shard,
+   which registers it in its own table of [peers]. *)
 let peer_channel ~sharder ~shard_of params ~loss_rng ~peer_loss ~switch peers
-    key =
-  let src, dst = key in
+    ~src ~dst =
   let s = shard_of.(src) in
+  let key = peer_key (Array.length shard_of) ~src ~dst in
   match Hashtbl.find_opt peers.(s) key with
   | Some ch -> ch
   | None ->
@@ -304,7 +308,7 @@ let make_lazy_plane ~params ~controller_config ~n_ctrl ~tracers ~sharder
   let peers = Array.map (fun _ -> Hashtbl.create 1024) underlays in
   let peer_channel src dst =
     peer_channel ~sharder ~shard_of params ~loss_rng ~peer_loss
-      ~switch:get_switch peers (Sid.to_int src, Sid.to_int dst)
+      ~switch:get_switch peers ~src:(Sid.to_int src) ~dst:(Sid.to_int dst)
   in
   let relay = Hashtbl.create 8 in
   let alive = Array.make n_ctrl true in
@@ -886,38 +890,38 @@ let repair_control_link t sw =
       Hashtbl.remove p.relay i;
       Edge_switch.set_control_relay p.switches.(i) None)
 
-let peer_key a b = (Sid.to_int a, Sid.to_int b)
-let peer_table t (p : lazy_plane) (src, _) = p.peers.(t.shard_of.(src))
+(* The directed links a -> b and b -> a, in that order. *)
+let peer_pairs a b =
+  let a = Sid.to_int a and b = Sid.to_int b in
+  [ (a, b); (b, a) ]
 
 (* Every peer channel created so far, by sending shard then key. *)
 let peer_bindings (p : lazy_plane) =
-  List.concat_map
-    (Det.bindings_sorted ~cmp:Det.pair_compare)
-    (Array.to_list p.peers)
+  List.concat_map (Det.bindings_sorted ~cmp:Int.compare) (Array.to_list p.peers)
 
 (* Creates a missing link before failing it, so future sends on the pair
    also drop. *)
-let fail_peer_key t (p : lazy_plane) key =
+let fail_peer_key t (p : lazy_plane) (src, dst) =
   Channel.fail
     (peer_channel ~sharder:t.sharder ~shard_of:t.shard_of t.params
        ~loss_rng:p.loss_rng ~peer_loss:p.peer_loss
-       ~switch:(Array.get p.switches) p.peers key)
+       ~switch:(Array.get p.switches) p.peers ~src ~dst)
 
 let fail_peer_link t a b =
-  with_lazy t (fun p ->
-      List.iter (fail_peer_key t p) [ peer_key a b; peer_key b a ])
+  with_lazy t (fun p -> List.iter (fail_peer_key t p) (peer_pairs a b))
 
 let fail_peer_link_directed t ~src ~dst =
-  with_lazy t (fun p -> fail_peer_key t p (peer_key src dst))
+  with_lazy t (fun p -> fail_peer_key t p (Sid.to_int src, Sid.to_int dst))
 
 let repair_peer_link t a b =
   with_lazy t (fun p ->
       List.iter
-        (fun key ->
-          match Hashtbl.find_opt (peer_table t p key) key with
+        (fun (src, dst) ->
+          let key = peer_key (Array.length t.shard_of) ~src ~dst in
+          match Hashtbl.find_opt p.peers.(t.shard_of.(src)) key with
           | Some ch -> Channel.repair ch
           | None -> ())
-        [ peer_key a b; peer_key b a ])
+        (peer_pairs a b))
 
 let underlay_of t sw = t.underlays.(shard_of t sw)
 

@@ -1,6 +1,6 @@
 (* Conservative time-window coordinator over per-shard event engines.
 
-   S *logical* shards each own a private flat-heap {!Engine.t}; D
+   S *logical* shards each own a private {!Engine.t}; D
    *physical* domains (D <= S) execute them through a persistent
    {!Domain_pool}.  Simulated time advances in fixed windows of width W
    aligned to the absolute grid (window k covers (k*W, (k+1)*W]): every

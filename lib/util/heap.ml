@@ -178,22 +178,28 @@ module Flat = struct
       else i
     end
 
+  (* Puts (time, seq, payload) in the hole at the root, bubbling the
+     hole down toward the leaves. *)
+  let fill_root t ~time ~seq ~payload =
+    let tm = t.time and sq = t.seq and pl = t.payload in
+    let i = sift_down tm sq pl ~n:t.size ~time ~seq 0 in
+    Array.unsafe_set tm i time;
+    Array.unsafe_set sq i seq;
+    Array.unsafe_set pl i payload
+
   let remove_min t =
     if t.size = 0 then invalid_arg "Heap.Flat.remove_min: empty heap";
     let n = t.size - 1 in
     t.size <- n;
-    if n > 0 then begin
-      let tm = t.time and sq = t.seq and pl = t.payload in
-      (* Re-insert the last element at the root, bubbling the hole down
-         toward the leaves. *)
-      let time = Array.unsafe_get tm n
-      and seq = Array.unsafe_get sq n
-      and payload = Array.unsafe_get pl n in
-      let i = sift_down tm sq pl ~n ~time ~seq 0 in
-      Array.unsafe_set tm i time;
-      Array.unsafe_set sq i seq;
-      Array.unsafe_set pl i payload
-    end
+    (* Re-insert the last element at the root. *)
+    if n > 0 then
+      fill_root t ~time:(Array.unsafe_get t.time n)
+        ~seq:(Array.unsafe_get t.seq n)
+        ~payload:(Array.unsafe_get t.payload n)
+
+  let replace_min t ~time ~seq ~payload =
+    if t.size = 0 then invalid_arg "Heap.Flat.replace_min: empty heap";
+    fill_root t ~time ~seq ~payload
 end
 
 module Indexed = struct

@@ -1,7 +1,7 @@
 (** Binary heaps.
 
-    Three flavours are provided: {!Flat}, the allocation-free heap behind
-    the discrete-event scheduler; {!Indexed}, a priority queue with
+    Three flavours are provided: {!Flat}, the allocation-free heap inside
+    the discrete-event scheduler's queue; {!Indexed}, a priority queue with
     adjustable keys behind the partitioner's region growing; and a plain
     polymorphic min-heap, the reference the tests check {!Flat}
     against. *)
@@ -33,8 +33,10 @@ module Flat : sig
       triples, ordered lexicographically on [(time, seq)]. Backing store
       is three parallel [int] arrays, so pushes and pops allocate nothing
       (amortized; the arrays double on growth). Built for the
-      discrete-event scheduler hot path, where the payload is a slot
-      index into the engine's event table. *)
+      discrete-event scheduler hot path. The engine's queue uses two:
+      its fallback, for events whose delay found no FIFO lane, where the
+      payload is a slot index into the engine's event table; and the
+      small heap of its lanes, where the payload is a lane index. *)
 
   type t
 
@@ -56,6 +58,11 @@ module Flat : sig
 
   val remove_min : t -> unit
   (** Drop the minimum element. Read it first via [min_*].
+      @raise Invalid_argument on an empty heap. *)
+
+  val replace_min : t -> time:int -> seq:int -> payload:int -> unit
+  (** [remove_min] then [push] in one sift: the engine's lane heap moves
+      a lane to its next head this way.
       @raise Invalid_argument on an empty heap. *)
 end
 

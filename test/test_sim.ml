@@ -224,6 +224,230 @@ let test_engine_fuzz =
       times = sorted
       && List.length times = List.length delays + follow_ups)
 
+(* Events that reach one instant through different delays fire in the
+   order they were scheduled, whichever lanes or heap hold them. *)
+let test_engine_cross_lane_ties () =
+  let e = Engine.create () in
+  let log = ref [] in
+  (* Eight delays, all ending at 1 ms: one lane each. *)
+  for j = 0 to 7 do
+    Engine.run ~until:(Time.of_us (100 * j)) e;
+    ignore
+      (Engine.schedule e
+         ~after:(Time.of_us (1000 - (100 * j)))
+         (fun () -> log := j :: !log))
+  done;
+  Engine.run e;
+  check (Alcotest.list Alcotest.int) "lane against lane"
+    (List.init 8 Fun.id) (List.rev !log)
+
+let test_engine_fallback_ties () =
+  let e = Engine.create () in
+  let log = ref [] in
+  (* 200 distinct delays pending at once, more than the engine has
+     lanes: the later ones go to the fallback heap. Filler k fires at
+     10 ms + 10k us. *)
+  let n = 200 in
+  let at k = 10_000 + (10 * k) in
+  for k = 0 to n - 1 do
+    ignore
+      (Engine.schedule e ~after:(Time.of_us (at k)) (fun () ->
+           log := (k, 0) :: !log))
+  done;
+  (* 10 us later, tie event k reuses filler k-1's delay to reach filler
+     k's instant: it joins filler k-1's lane when that has one, the
+     fallback when it has none, so lane and fallback entries tie both
+     ways round. *)
+  Engine.run ~until:(Time.of_us 10) e;
+  for k = 1 to n - 1 do
+    ignore
+      (Engine.schedule e ~after:(Time.of_us (at (k - 1))) (fun () ->
+           log := (k, 1) :: !log))
+  done;
+  Engine.run e;
+  let expected =
+    (0, 0) :: List.concat (List.init (n - 1) (fun k -> [ (k + 1, 0); (k + 1, 1) ]))
+  in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "filler before its tie" expected (List.rev !log)
+
+(* A reference scheduler for the exactness property: it keeps every live
+   event in a list and always fires the least (time, scheduling order).
+   Both it and the engine sit behind [sched], whose schedule and every
+   return a cancel thunk. *)
+type sched = {
+  now : unit -> int;
+  schedule : after:int -> (unit -> unit) -> unit -> unit;
+  every : period:int -> jitter:(unit -> int) option -> (unit -> unit) -> unit -> unit;
+  run_until : int -> unit;
+  run : unit -> unit;
+  pending : unit -> int;
+}
+
+let engine_sched () =
+  let e = Engine.create () in
+  {
+    now = (fun () -> Time.to_ns (Engine.now e));
+    schedule =
+      (fun ~after f ->
+        let id = Engine.schedule e ~after:(Time.of_ns after) f in
+        fun () -> Engine.cancel e id);
+    every =
+      (fun ~period ~jitter f ->
+        let jitter = Option.map (fun j () -> Time.of_ns (j ())) jitter in
+        let id = Engine.every e ~period:(Time.of_ns period) ?jitter f in
+        fun () -> Engine.cancel e id);
+    run_until = (fun h -> Engine.run ~until:(Time.of_ns h) e);
+    run = (fun () -> Engine.run e);
+    pending = (fun () -> Engine.pending e);
+  }
+
+type ref_event = { r_time : int; r_seq : int; r_fire : unit -> unit }
+
+let reference_sched () =
+  let clock = ref 0 and next_seq = ref 0 and live = ref [] in
+  let push ~after f =
+    let seq = !next_seq in
+    incr next_seq;
+    live := { r_time = !clock + after; r_seq = seq; r_fire = f } :: !live;
+    seq
+  in
+  let remove seq = live := List.filter (fun ev -> ev.r_seq <> seq) !live in
+  let least () =
+    List.fold_left
+      (fun best ev ->
+        match best with
+        | Some b when (b.r_time, b.r_seq) < (ev.r_time, ev.r_seq) -> best
+        | _ -> Some ev)
+      None !live
+  in
+  let rec drain h =
+    match least () with
+    | Some ev when ev.r_time <= h ->
+        remove ev.r_seq;
+        clock := ev.r_time;
+        ev.r_fire ();
+        drain h
+    | _ -> ()
+  in
+  let every ~period ~jitter f =
+    (* The armed instance's seq, or -1 while the callback runs. *)
+    let armed = ref (-1) and stopped = ref false in
+    let rec arm () =
+      let after = period + match jitter with None -> 0 | Some j -> j () in
+      armed :=
+        push ~after (fun () ->
+            armed := -1;
+            f ();
+            if not !stopped then arm ())
+    in
+    arm ();
+    fun () ->
+      stopped := true;
+      if !armed >= 0 then remove !armed
+  in
+  {
+    now = (fun () -> !clock);
+    schedule =
+      (fun ~after f ->
+        let seq = push ~after f in
+        fun () -> remove seq);
+    every;
+    run_until =
+      (fun h ->
+        drain h;
+        clock := max !clock h);
+    run = (fun () -> drain max_int);
+    pending = (fun () -> List.length !live);
+  }
+
+(* About 100 delays on a 10 us grid, so events often tie at one instant
+   through different delays: half the draws take one of four hot
+   delays, 30% one of the pool's 100 (more than the engine has lanes),
+   the rest a uniform one. *)
+let delay_pool = Array.init 100 (fun i -> 10_000 * (1 + ((i * 37) mod 100)))
+
+let pick_delay rng =
+  match Lazyctrl_util.Prng.int rng 10 with
+  | 0 | 1 | 2 | 3 | 4 -> delay_pool.(Lazyctrl_util.Prng.int rng 4)
+  | 5 | 6 | 7 -> delay_pool.(Lazyctrl_util.Prng.int rng 100)
+  | _ -> 10_000 * Lazyctrl_util.Prng.int rng 300
+
+(* [Sched n] schedules n events at one drawn delay (a burst fills a
+   lane's ring past its first size); [Every jittered] starts a
+   recurrence; [Cancel k] cancels the k-th handle (mod the count), which
+   may have fired already; [Until h] runs to h ns past the clock. *)
+type op = Sched of int | Every of bool | Cancel of int | Until of int
+
+(* Runs one program and returns what it saw: each firing's (event id,
+   time), and (-1, pending) after each [run ~until]. Delays, jitter and
+   the callbacks' own schedules and cancels all draw from one stream,
+   so both schedulers see the same program as long as they fire in the
+   same order. *)
+let run_program sched (seed, ops) =
+  let rng = Lazyctrl_util.Prng.create seed in
+  let seen = ref [] in
+  let cancels = Hashtbl.create 64 and n_ids = ref 0 in
+  let cancel_some k = if !n_ids > 0 then (Hashtbl.find cancels (k mod !n_ids)) () in
+  let rec fired id () =
+    seen := (id, sched.now ()) :: !seen;
+    if !n_ids < 2_000 then
+      match Lazyctrl_util.Prng.int rng 6 with
+      | 0 | 1 -> add (sched.schedule ~after:(pick_delay rng))
+      | 2 -> cancel_some (Lazyctrl_util.Prng.int rng 1_000)
+      | _ -> ()
+  and add make =
+    let id = !n_ids in
+    incr n_ids;
+    Hashtbl.replace cancels id (make (fired id))
+  in
+  List.iter
+    (function
+      | Sched n ->
+          let after = pick_delay rng in
+          for _ = 1 to n do
+            add (sched.schedule ~after)
+          done
+      | Every jittered ->
+          let period = 500_000 + (10_000 * Lazyctrl_util.Prng.int rng 51) in
+          let jitter =
+            if jittered then
+              Some (fun () -> 10_000 * Lazyctrl_util.Prng.int rng 4)
+            else None
+          in
+          add (sched.every ~period ~jitter)
+      | Cancel k -> cancel_some k
+      | Until h ->
+          sched.run_until (sched.now () + h);
+          seen := (-1, sched.pending ()) :: !seen)
+    ops;
+  for id = 0 to !n_ids - 1 do
+    (Hashtbl.find cancels id) ()
+  done;
+  sched.run ();
+  List.rev !seen
+
+let program_gen =
+  let open QCheck2.Gen in
+  let op =
+    frequency
+      [
+        (6, return (Sched 1));
+        (1, map (fun n -> Sched n) (int_range 10 40));
+        (1, map (fun j -> Every j) bool);
+        (2, map (fun k -> Cancel k) (int_bound 1_000));
+        (1, map (fun k -> Until (10_000 * k)) (int_bound 500));
+      ]
+  in
+  pair (int_bound 1_000_000) (list_size (int_range 1 400) op)
+
+let test_engine_matches_reference =
+  qtest ~count:100 "matches a least-(time, order) reference" program_gen
+    (fun program ->
+      run_program (engine_sched ()) program
+      = run_program (reference_sched ()) program)
+
 let () =
   Alcotest.run "sim"
     [
@@ -253,5 +477,10 @@ let () =
           Alcotest.test_case "past rejected" `Quick test_engine_schedule_at_past;
           Alcotest.test_case "step/count" `Quick test_engine_step_and_count;
           test_engine_fuzz;
+          Alcotest.test_case "ties across lanes" `Quick
+            test_engine_cross_lane_ties;
+          Alcotest.test_case "ties between lanes and fallback" `Quick
+            test_engine_fallback_ties;
+          test_engine_matches_reference;
         ] );
     ]

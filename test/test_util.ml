@@ -140,7 +140,7 @@ let test_heap_peek_pop () =
    polymorphic heap it replaced in the scheduler: same pop order under
    lexicographic (time, seq), including the scheduler's lazy-deletion
    cancel pattern where cancelled entries stay in the heap and are
-   skipped at pop time. *)
+   skipped at pop time, and [replace_min] acting as a pop then a push. *)
 let test_flat_heap_matches_poly =
   qtest ~count:20 "flat heap matches poly heap under cancels"
     QCheck2.Gen.(int_bound 1_000_000)
@@ -177,7 +177,7 @@ let test_flat_heap_matches_poly =
         if pop_flat () <> pop_poly () then ok := false
       in
       for _ = 1 to 10_000 do
-        match Prng.int rng 4 with
+        match Prng.int rng 5 with
         | 0 | 1 ->
             (* Duplicate times force seq tie-breaking to matter. *)
             let time = Prng.int rng 512 in
@@ -185,6 +185,15 @@ let test_flat_heap_matches_poly =
             incr seq;
             Heap.Flat.push flat ~time ~seq:s ~payload:(time lxor s);
             Heap.push poly (time, s, time lxor s)
+        | 4 ->
+            if not (Heap.Flat.is_empty flat) then begin
+              let time = Prng.int rng 512 in
+              let s = !seq in
+              incr seq;
+              Heap.Flat.replace_min flat ~time ~seq:s ~payload:(time lxor s);
+              ignore (Heap.pop poly);
+              Heap.push poly (time, s, time lxor s)
+            end
         | 2 ->
             (* Lazy-deletion cancel of a random previously issued seq
                (possibly one already popped: then it is a no-op). *)
