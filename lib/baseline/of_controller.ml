@@ -8,6 +8,7 @@ type msg = Of_switch.msg
 type env = {
   engine : Engine.t;
   send_switch : Ids.Switch_id.t -> msg -> unit;
+  send_switches : Ids.Switch_id.t list -> msg -> unit;
   n_switches : int;
 }
 
@@ -72,12 +73,21 @@ let reply_to_punt t sw ~buffer_id packet actions =
   end
   else packet_out t sw packet actions
 
+(* One message to every other switch, in ascending switch order, through
+   one multicast: the frame is encoded once, each link still carries its
+   own copy. *)
 let flood_everywhere t ~from ~buffer_id packet =
   t.s_floods <- t.s_floods + 1;
-  for i = 0 to t.env.n_switches - 1 do
+  let others = ref [] in
+  for i = t.env.n_switches - 1 downto 0 do
     let sw = Sid.of_int i in
-    if not (Sid.equal sw from) then packet_out t sw packet [ Action.Flood_local ]
+    if not (Sid.equal sw from) then begin
+      t.s_packet_outs <- t.s_packet_outs + 1;
+      others := sw :: !others
+    end
   done;
+  t.env.send_switches !others
+    (Message.Packet_out { packet; actions = [ Action.Flood_local ] });
   (* Also out of the ingress switch's other local ports. *)
   reply_to_punt t from ~buffer_id packet [ Action.Flood_local ]
 

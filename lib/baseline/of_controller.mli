@@ -16,6 +16,11 @@ type msg = Of_switch.msg
 type env = {
   engine : Engine.t;
   send_switch : Ids.Switch_id.t -> msg -> unit;
+  send_switches : Ids.Switch_id.t list -> msg -> unit;
+      (** One message to several switches, in list order: what
+          [send_switch] does for each, with one shared encoding
+          ({!Lazyctrl_openflow.Channel.multicast}). A flood sends its
+          [Packet_out] to every switch but the ingress one through it. *)
   n_switches : int;
 }
 

@@ -28,8 +28,9 @@ type t = {
   ports : (int, Host.t) Hashtbl.t; (* mac -> locally attached host *)
   (* [ports]' hosts in ascending mac order, rebuilt lazily after an
      attach or detach: floods and [Deliver] walk it instead of sorting
-     the port table per packet. *)
-  mutable by_mac : Host.t array option;
+     the port table per packet, and a flood from a remote sender hands
+     it on as it is. *)
+  mutable by_mac : Host.t list option;
   buffers : Buffer_pool.t;
   mutable s_from_hosts : int;
   mutable s_delivered : int;
@@ -62,42 +63,39 @@ let detach_host t (h : Host.t) =
 
 let hosts_by_mac t =
   match t.by_mac with
-  | Some a -> a
+  | Some l -> l
   | None ->
-      let a =
-        Array.of_list
-          (List.map snd
-             (Lazyctrl_util.Det.bindings_sorted ~cmp:Int.compare t.ports))
+      let l =
+        List.map snd (Lazyctrl_util.Det.bindings_sorted ~cmp:Int.compare t.ports)
       in
-      t.by_mac <- Some a;
-      a
+      t.by_mac <- Some l;
+      l
 
 let now t = Engine.now t.env.engine
 
-let deliver t hosts pkt =
-  t.s_delivered <- t.s_delivered + List.length hosts;
+let deliver t ~n hosts pkt =
+  t.s_delivered <- t.s_delivered + n;
   t.env.deliver_local hosts pkt
 
+(* Flood in mac order, as one delivery: the order is visible in the event
+   stream. *)
 let flood_local t (eth : Packet.eth) =
-  let sender_tenant =
-    Option.map
-      (fun (h : Host.t) -> h.tenant)
-      (Hashtbl.find_opt t.ports (Mac.to_int eth.src))
-  in
-  (* Flood in mac order, as one delivery: the order is visible in the
-     event stream. *)
-  let targets =
-    Array.fold_right
-      (fun (h : Host.t) acc ->
-        let same_tenant =
-          match sender_tenant with
-          | Some ten -> Ids.Tenant_id.equal h.tenant ten
-          | None -> true
-        in
-        if same_tenant && not (Mac.equal h.mac eth.src) then h :: acc else acc)
-      (hosts_by_mac t) []
-  in
-  if not (List.is_empty targets) then deliver t targets (Packet.Plain eth)
+  match Hashtbl.find_opt t.ports (Mac.to_int eth.src) with
+  | None ->
+      (* A remote sender: every attached host passes, and none is the
+         sender. *)
+      let n = Hashtbl.length t.ports in
+      if n > 0 then deliver t ~n (hosts_by_mac t) (Packet.Plain eth)
+  | Some sender ->
+      let targets =
+        List.filter
+          (fun (h : Host.t) ->
+            Ids.Tenant_id.equal h.tenant sender.tenant
+            && not (Mac.equal h.mac eth.src))
+          (hosts_by_mac t)
+      in
+      if not (List.is_empty targets) then
+        deliver t ~n:(List.length targets) targets (Packet.Plain eth)
 
 let apply_actions t packet actions =
   let eth = Packet.eth_of packet in
@@ -105,11 +103,11 @@ let apply_actions t packet actions =
     (function
       | Action.Deliver hid -> (
           match
-            Array.find_opt
+            List.find_opt
               (fun (h : Host.t) -> Ids.Host_id.equal h.id hid)
               (hosts_by_mac t)
           with
-          | Some h -> deliver t [ h ] packet
+          | Some h -> deliver t ~n:1 [ h ] packet
           | None -> ())
       | Action.Encap ip ->
           t.s_encap <- t.s_encap + 1;
@@ -156,7 +154,7 @@ let handle_underlay t packet =
       (* Delivery to the learned port; the physical port mapping plays the
          role of the installed output rule at the last hop. *)
       match Hashtbl.find_opt t.ports (Mac.to_int inner.dst) with
-      | Some host -> deliver t [ host ] (Packet.Plain inner)
+      | Some host -> deliver t ~n:1 [ host ] (Packet.Plain inner)
       | None -> ())
 
 let handle_controller_message t msg =

@@ -20,7 +20,11 @@ type env = {
   send_underlay : Packet.t -> unit;
   deliver_local : Host.t list -> Packet.t -> unit;
       (** One output action's host ports: a flood passes every target in
-          ascending mac order, a unicast output one host. *)
+          ascending mac order, a unicast output one host. A flood whose
+          sender is not attached here reaches every attached host, so it
+          passes the switch's cached host list itself: one immutable
+          list shared by those floods, rebuilt after an attach or
+          detach. *)
   underlay_ip : Ipv4.t;
 }
 

@@ -127,9 +127,9 @@ let start_flow t ~src ~dst ~bytes ~packets =
 let flow_id_of (p : Packet.ipv4_payload) =
   p.src_port lor (p.dst_port lsl 16)
 
-let deliver t ~to_ packet =
-  let (host : Host.t) = to_ in
-  let eth = Packet.eth_of packet in
+(* One host's stack step for a frame already taken out of its packet.  A
+   frame for someone else changes nothing and reads [Not_for_host]. *)
+let deliver_eth t (host : Host.t) (eth : Packet.eth) =
   match eth.Packet.payload with
   | Packet.Arp { op = Packet.Request; sender_mac; sender_ip; target_ip; _ } ->
       if Ipv4.equal target_ip host.ip then begin
@@ -154,6 +154,7 @@ let deliver t ~to_ packet =
       end
       else Not_for_host
   | Packet.Arp { op = Packet.Reply; sender_ip; _ } ->
+      (* For every host: each caches the sender, whoever asked. *)
       Hashtbl.replace t.arp_cache (cache_key host sender_ip)
         (Time.add (now t) t.arp_ttl);
       let key = cache_key host sender_ip in
@@ -188,6 +189,16 @@ let deliver t ~to_ packet =
           | Some _ -> Data_duplicate
           | None -> Data_duplicate
       end
+
+let deliver t ~to_ packet = deliver_eth t to_ (Packet.eth_of packet)
+
+let rec deliver_each t f eth = function
+  | [] -> ()
+  | host :: rest ->
+      (match deliver_eth t host eth with Not_for_host -> () | d -> f host d);
+      deliver_each t f eth rest
+
+let deliver_hosts t hosts packet f = deliver_each t f (Packet.eth_of packet) hosts
 
 let complete_remote t id =
   match Hashtbl.find_opt t.in_flight id with

@@ -56,7 +56,19 @@ val start_flow : t -> src:Host.t -> dst:Host.t -> bytes:int -> packets:int -> un
 val deliver : t -> to_:Host.t -> Packet.t -> delivery
 (** Process a frame arriving at a host. ARP requests for the host trigger
     a reply after the stack delay; ARP replies resolve the cache and
-    release queued flows. *)
+    release queued flows. A frame for another host changes nothing and
+    reads [Not_for_host]: an ARP request is for the host with its target
+    IP, an IPv4 frame for the host with its destination MAC, and an ARP
+    reply for every host, since each caches the sender. *)
+
+val deliver_hosts :
+  t -> Host.t list -> Packet.t -> (Host.t -> delivery -> unit) -> unit
+(** [deliver_hosts t hosts packet f] is one frame arriving at several
+    hosts at once (a flood's host ports): the same state changes, in the
+    same order, as [deliver] to each host in list order. The packet is
+    unwrapped once, and [f h d] is called, in list order, for each host
+    [h] the frame is for, with what [deliver] returns there; a host it is
+    not for costs one address test. *)
 
 val complete_remote : t -> int -> flow_meta option
 (** Owner-side receipt for a flow first-delivered in another shard:

@@ -195,14 +195,13 @@ let record_delivery t ~shard (meta : Host_model.flow_meta) ~delivered_at =
       ~n:(meta.Host_model.packets - 1)
       (fast_path_latency t ~src:meta.Host_model.src ~dst:meta.Host_model.dst)
 
-(* Frame delivered on a host port of a shard-[shard] switch: dispatch to
-   the shard's host model and record latency measurements.  A first
-   delivery of a flow another shard started posts a receipt carrying
-   the delivery time back to the owner, which holds the flow metadata
-   and the recorder the sample belongs to (never at one shard). *)
-let host_delivery t ~shard host pkt =
-  let now = Engine.now (Shard_engine.engine t.sharder shard) in
-  match Host_model.deliver t.models.(shard) ~to_:host pkt with
+(* What a host's stack made of a frame delivered on a host port of a
+   shard-[shard] switch at [now]: record latency measurements.  A first
+   delivery of a flow another shard started posts a receipt carrying the
+   delivery time back to the owner, which holds the flow metadata and the
+   recorder the sample belongs to (never at one shard). *)
+let on_host_delivery t ~shard ~now (d : Host_model.delivery) =
+  match d with
   | Host_model.Data_first meta -> record_delivery t ~shard meta ~delivered_at:now
   | Host_model.Data_remote id ->
       let owner = id mod t.switch_shards in
@@ -215,6 +214,10 @@ let host_delivery t ~shard host pkt =
   | Host_model.Data_duplicate | Host_model.Arp_handled | Host_model.Not_for_host
     ->
       ()
+
+let host_delivery t ~shard host pkt =
+  let now = Engine.now (Shard_engine.engine t.sharder shard) in
+  on_host_delivery t ~shard ~now (Host_model.deliver t.models.(shard) ~to_:host pkt)
 
 (* Attach (or clear) a loss model; the sub-stream is keyed by the channel
    name, so the draw sequence of one channel never depends on another. *)
@@ -544,6 +547,11 @@ let make_of_plane ~params ~of_config ~sharder ~topo ~underlay ~deliver_local =
     Of_controller.create
       { Of_controller.engine; send_switch =
           (fun sw msg -> ignore (Channel.send ctrl_down.(Sid.to_int sw) msg));
+        send_switches =
+          (fun sws msg ->
+            Channel.multicast
+              (List.map (fun sw -> ctrl_down.(Sid.to_int sw)) sws)
+              msg);
         n_switches = n }
       of_config
   in
@@ -646,14 +654,21 @@ let create ?(params = Params.default)
   in
   (* One OpenFlow output action is one event that delivers to its hosts
      in order: the same calls at the same clock as one event per host,
-     which would have held consecutive sequence numbers (DESIGN.md §6). *)
+     which would have held consecutive sequence numbers (DESIGN.md §6).
+     The host model reads the frame once and runs the stack only for the
+     hosts it is for. *)
+  let on_flood_delivery _host d =
+    match !t_ref with
+    | Some t -> on_host_delivery t ~shard:0 ~now:(Engine.now (engine_of 0)) d
+    | None -> ()
+  in
   let deliver_hosts hosts pkt =
     match !t_ref with
     | Some t ->
         ignore
           (Engine.schedule (engine_of 0) ~after:params.Params.host_port_latency
              (fun () ->
-               List.iter (fun host -> host_delivery t ~shard:0 host pkt) hosts))
+               Host_model.deliver_hosts t.models.(0) hosts pkt on_flood_delivery))
     | None -> ()
   in
   let plane =

@@ -88,6 +88,7 @@ let create ?(strict = false) engine ~post ~latency ?jitter ~name () =
   }
 
 let name t = t.chan_name
+let is_up t = t.up
 
 let set_receiver t f = t.receiver <- Some f
 
@@ -146,26 +147,20 @@ let schedule_delivery t ~nbytes msg =
             else t.n_dropped_rx <- t.n_dropped_rx + 1
       else t.n_dropped_rx <- t.n_dropped_rx + 1)
 
-let send t msg =
+(* The per-link step of a send, once the frame is built: [nbytes] is
+   its length and [msg] the value the receiver gets.  A downed link only
+   counts the drop. *)
+let link t ~nbytes msg =
   if not t.up then begin
     t.n_dropped <- t.n_dropped + 1;
     false
   end
   else begin
     t.n_sent <- t.n_sent + 1;
-    (* With a codec attached the message is marshalled exactly once and
-       the delivered value is rebuilt from the frame, so what crosses the
-       channel is bytes; duplicates re-deliver the same frame's worth. *)
-    let nbytes, msg =
-      match t.codec with
-      | None -> (0, msg)
-      | Some (enc, dec) ->
-          let frame = enc msg in
-          let n = Bytes.length frame in
-          t.n_bytes_sent <- t.n_bytes_sent + n;
-          (match t.on_wire with Some f -> f n | None -> ());
-          (n, dec frame)
-    in
+    if Option.is_some t.codec then begin
+      t.n_bytes_sent <- t.n_bytes_sent + nbytes;
+      match t.on_wire with Some f -> f nbytes | None -> ()
+    end;
     (match wire_copies t with
     | 0 -> t.n_lost <- t.n_lost + 1
     | 1 -> schedule_delivery t ~nbytes msg
@@ -178,6 +173,28 @@ let send t msg =
     true
   end
 
+(* With a codec attached the message is marshalled exactly once and the
+   delivered value is rebuilt from the frame, so what crosses the channel
+   is bytes; duplicates re-deliver the same frame's worth.  A downed
+   channel builds no frame. *)
+let send t msg =
+  match t.codec with
+  | Some (enc, dec) when t.up ->
+      let frame = enc msg in
+      link t ~nbytes:(Bytes.length frame) (dec frame)
+  | Some _ | None -> link t ~nbytes:0 msg
+
+(* One codec pass for the whole list, with the first up channel's codec:
+   the decoded value is immutable, so every receiver can share it. *)
+let multicast chans msg =
+  match List.find_opt is_up chans with
+  | Some { codec = Some (enc, dec); _ } ->
+      let frame = enc msg in
+      let nbytes = Bytes.length frame and msg = dec frame in
+      List.iter (fun t -> ignore (link t ~nbytes msg)) chans
+  | Some { codec = None; _ } | None ->
+      List.iter (fun t -> ignore (link t ~nbytes:0 msg)) chans
+
 let fail t =
   if t.up then begin
     t.up <- false;
@@ -186,7 +203,6 @@ let fail t =
 
 let repair t = t.up <- true
 
-let is_up t = t.up
 let sent t = t.n_sent
 let bytes_sent t = t.n_bytes_sent
 let bytes_delivered t = t.n_bytes_delivered

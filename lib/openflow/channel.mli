@@ -75,7 +75,8 @@ val set_codec :
     value handed to the receiver is reconstructed by [decode] from those
     bytes — so the channel genuinely carries bytes and any codec
     infidelity is observable as a behavioral change. Loss-model draw
-    alignment, FIFO order and epochs are unaffected. *)
+    alignment, FIFO order and epochs are unaffected. A down channel
+    encodes nothing. *)
 
 val set_wire_hook : 'msg t -> (int -> unit) -> unit
 (** Called with the frame length, once per encoded send (not per
@@ -87,6 +88,19 @@ val send : 'msg t -> 'msg -> bool
 (** Enqueue for delivery after the channel latency; [false] (and a drop)
     when the channel is down. Random loss/duplication by the loss model is
     invisible to the sender and still returns [true]. *)
+
+val multicast : 'msg t list -> 'msg -> unit
+(** [multicast chans msg] sends [msg] on every channel of [chans], in
+    list order, and behaves exactly like [send] on each of them: the same
+    drops, [sent], [bytes_sent] and wire-hook calls (each link is charged
+    its whole frame), the same three loss draws per up link, duplicates,
+    FIFO floor and epochs.  Only the codec pass is shared: [msg] is
+    encoded once and decoded once, with the codec of the first channel
+    that is up, and every receiver gets that one decoded value.  So every
+    channel in [chans] must carry the same codec (or none), and the
+    message type must be immutable, so that no receiver can observe the
+    sharing.  No channel up: no codec pass, every channel counts a
+    drop. *)
 
 val fail : 'msg t -> unit
 (** Take the channel down. In-flight messages are lost. *)

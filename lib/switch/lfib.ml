@@ -3,8 +3,9 @@ module Intmap = Lazyctrl_util.Intmap
 
 (* [by_mac]/[by_ip] are Intmaps, not Hashtbls: [Hashtbl.find_opt] boxes
    every hit in a fresh [Some] (~1.65 minor words/op measured on the
-   hp-lfib-lookup probe — an H004 calibration gap), while [Intmap.find]
-   returns the option stored at insertion time and allocates nothing. *)
+   hp-lfib-lookup probe, an allocation the static H001 check does not
+   see), while [Intmap.find] returns the option stored at insertion time
+   and allocates nothing. *)
 type t = {
   by_id : Host.t Ids.Host_id.Tbl.t;
   by_mac : Host.t Intmap.t;

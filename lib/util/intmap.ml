@@ -2,8 +2,8 @@
 
    [Hashtbl.find_opt] wraps every hit in a fresh [Some] — roughly two
    minor words per lookup, which the H00x hot-path budget surfaced on
-   the L-FIB probes (an H004 calibration gap: statically clean, measured
-   allocating).  Here each slot stores the binding as an ['a option]
+   the L-FIB probes: the static check passes it, and only the measured
+   minor words show it.  Here each slot stores the binding as an ['a option]
    built once at insertion, and [find] returns that stored option, so a
    lookup allocates nothing at all.
 

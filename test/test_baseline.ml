@@ -144,6 +144,8 @@ let make_controller ?(n_switches = 4) () =
     {
       Of_controller.engine;
       send_switch = (fun sw m -> sent := (sw, m) :: !sent);
+      send_switches =
+        (fun sws m -> List.iter (fun sw -> sent := (sw, m) :: !sent) sws);
       n_switches;
     }
   in

@@ -164,6 +164,107 @@ let test_host_model_delivery_classification () =
   check Alcotest.bool "not for host" true
     (Host_model.deliver hm ~to_:h3 data = Host_model.Not_for_host)
 
+(* Host-list delivery oracle: [deliver_hosts] over a host list must leave
+   the model as [deliver] to each host in list order does — the same
+   results for the hosts a frame is for, the same ARP caches and pending
+   queues, the same flows delivered and the same replies, in order.
+   Frames are ARP requests, ARP replies and IPv4 frames addressed to one
+   of the hosts, to a stranger or to the broadcast MAC.  Each world ends
+   by starting a flow from every host to every peer: a warm cache sends
+   data at once, a cold one sends an ARP request or queues, so the send
+   logs expose the caches. *)
+let test_host_model_list_delivery_oracle =
+  let hosts = List.init 5 (fun i -> Host.make ~id:(hid (i + 1)) ~tenant:(tid (i mod 2))) in
+  let stranger = Host.make ~id:(hid 99) ~tenant:(tid 0) in
+  let nth i = if i < 5 then List.nth hosts i else stranger in
+  let world () =
+    let e = Engine.create () in
+    let log = ref [] in
+    let hm =
+      Host_model.create e
+        ~send:(fun h p -> log := (Ids.Host_id.to_int h.Host.id, p) :: !log)
+        ~arp_ttl:(Time.of_min 10) ~stack_delay:(Time.of_us 30)
+    in
+    (* Pending resolutions: host 1 waits for host 2, host 3 for the
+       stranger. *)
+    Host_model.start_flow hm ~src:(nth 0) ~dst:(nth 1) ~bytes:100 ~packets:2;
+    Host_model.start_flow hm ~src:(nth 2) ~dst:stranger ~bytes:100 ~packets:1;
+    (* Flows 0-2 in flight: host 4 knows host 5, host 5 knows host 1. *)
+    ignore
+      (Host_model.deliver hm ~to_:(nth 3) (Packet.arp_reply ~sender:(nth 4) ~requester:(nth 3) ()));
+    ignore
+      (Host_model.deliver hm ~to_:(nth 4) (Packet.arp_reply ~sender:(nth 0) ~requester:(nth 4) ()));
+    Host_model.start_flow hm ~src:(nth 3) ~dst:(nth 4) ~bytes:100 ~packets:2;
+    Host_model.start_flow hm ~src:(nth 4) ~dst:(nth 0) ~bytes:100 ~packets:3;
+    Host_model.start_flow hm ~src:(nth 3) ~dst:(nth 4) ~bytes:100 ~packets:1;
+    (e, hm, log)
+  in
+  (* kind 0: ARP request for host [a]'s IP; 1: ARP reply from host [b]
+     to MAC [a]; 2: IPv4 frame of flow [b mod 4] to MAC [a].  [a] = 5 is
+     the stranger, and 6 the broadcast MAC (the stranger's IP for a
+     request). *)
+  let frame (kind, a, b) =
+    let to_mac eth =
+      let dst = if a = 6 then Mac.broadcast else (nth a).Host.mac in
+      Packet.Plain { eth with Packet.dst }
+    in
+    match kind with
+    | 0 -> Packet.arp_request ~sender:(nth b) ~target_ip:(nth (min a 5)).Host.ip ()
+    | 1 -> to_mac (Packet.eth_of (Packet.arp_reply ~sender:(nth b) ~requester:(nth 0) ()))
+    | _ ->
+        let id = b mod 4 in
+        to_mac
+          (Packet.eth_of
+             (Packet.data ~src:(nth 3) ~dst:(nth 4) ~src_port:(id land 0xffff)
+                ~dst_port:(id lsr 16) ~length:100 ()))
+  in
+  let gen =
+    let open QCheck2.Gen in
+    list_size (int_range 1 12)
+      (pair
+         (triple (int_range 0 2) (int_range 0 6) (int_range 0 5))
+         (let* order = shuffle_l hosts in
+          map (fun k -> List.filteri (fun i _ -> i < k) order) (int_range 0 5)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"host-list delivery equals one delivery per host" gen (fun script ->
+         let ea, a, log_a = world () and eb, b, log_b = world () in
+         let got_a = ref [] and got_b = ref [] in
+         let note got (h : Host.t) d = got := (Ids.Host_id.to_int h.id, d) :: !got in
+         List.iter
+           (fun (f, targets) ->
+             let pkt = frame f in
+             Host_model.deliver_hosts a targets pkt (note got_a);
+             List.iter
+               (fun h ->
+                 match Host_model.deliver b ~to_:h pkt with
+                 | Host_model.Not_for_host -> ()
+                 | d -> note got_b h d)
+               targets;
+             Engine.run ~until:(Time.add (Engine.now ea) (Time.of_us 20)) ea;
+             Engine.run ~until:(Time.add (Engine.now eb) (Time.of_us 20)) eb)
+           script;
+         let counts hm =
+           Host_model.
+             [
+               flows_started hm; flows_delivered hm; arp_requests_sent hm;
+               pending_resolutions hm; resolutions_failed hm;
+             ]
+         in
+         let same_counts = counts a = counts b in
+         Engine.run ~until:(Time.of_ms 1) ea;
+         Engine.run ~until:(Time.of_ms 1) eb;
+         List.iter
+           (fun (hm, src) ->
+             List.iter
+               (fun dst ->
+                 if not (Host.equal src dst) then
+                   Host_model.start_flow hm ~src ~dst ~bytes:10 ~packets:1)
+               (stranger :: hosts))
+           (List.concat_map (fun h -> [ (a, h); (b, h) ]) hosts);
+         same_counts && counts a = counts b && !got_a = !got_b && !log_a = !log_b))
+
 (* --- End-to-end, lazy mode ------------------------------------------------------ *)
 
 let run_flow net ~src ~dst =
@@ -461,6 +562,7 @@ let () =
           Alcotest.test_case "ARP then data" `Quick test_host_model_arp_then_data;
           Alcotest.test_case "ARP retry and give-up" `Quick test_host_model_arp_retry_and_give_up;
           Alcotest.test_case "delivery classes" `Quick test_host_model_delivery_classification;
+          test_host_model_list_delivery_oracle;
         ] );
       ( "lazy end-to-end",
         [

@@ -296,6 +296,137 @@ let test_channel_no_receiver () =
   Engine.run e;
   check Alcotest.int "dropped without receiver" 1 (Channel.dropped ch)
 
+(* Multicast oracle: one [multicast] over k channels must behave like k
+   [send]s on twin channels — same names, so the same [Prng.named] loss
+   streams.  A case is a set of channels (some down, some lossy and
+   duplicating) and a script of multicasts, fails, repairs and clock
+   advances, played on both worlds.  Both must show the same deliveries
+   (time, channel, message), the same per-channel counters and the same
+   wire-hook calls; a counting codec must see one encode and one decode
+   per multicast that finds a channel up, and none otherwise. *)
+type mc_op = Mc of int list | Mc_fail of int | Mc_repair of int | Mc_wait of int
+
+type mc_world = {
+  chans : string Channel.t array;
+  engine : Engine.t;
+  got : (int * string * string) list ref;
+  hooks : (string * int) list ref;
+  encodes : int ref;
+  decodes : int ref;
+}
+
+let mc_world ~codec specs =
+  let engine = Engine.create () in
+  let root = Lazyctrl_util.Prng.create 17 in
+  let got = ref [] and hooks = ref [] and encodes = ref 0 and decodes = ref 0 in
+  let chans =
+    Array.mapi
+      (fun i (latency_us, loss, up) ->
+        let name = Printf.sprintf "c%d" i in
+        let ch =
+          Channel.create engine ~post:(Engine.post engine)
+            ~latency:(Time.of_us latency_us) ~name ()
+        in
+        Channel.set_receiver ch (fun m ->
+            got := (Time.to_ns (Engine.now engine), name, m) :: !got);
+        (match loss with
+        | None -> ()
+        | Some spec ->
+            Channel.set_loss ch
+              ~rng:(Lazyctrl_util.Prng.named root ("loss:" ^ name))
+              spec);
+        if codec then begin
+          Channel.set_codec ch
+            ~encode:(fun s ->
+              incr encodes;
+              Bytes.of_string s)
+            ~decode:(fun b ->
+              incr decodes;
+              Bytes.to_string b);
+          Channel.set_wire_hook ch (fun n -> hooks := (name, n) :: !hooks)
+        end;
+        if not up then Channel.fail ch;
+        ch)
+      specs
+  in
+  { chans; engine; got; hooks; encodes; decodes }
+
+let mc_counters w =
+  Array.to_list
+    (Array.map
+       (fun ch ->
+         Channel.
+           [
+             sent ch; delivered ch; bytes_sent ch; bytes_delivered ch;
+             lost ch; duplicated ch; dropped ch;
+           ])
+       w.chans)
+
+let test_channel_multicast_oracle =
+  let open QCheck2.Gen in
+  let gen_loss =
+    oneof
+      [
+        return None;
+        map (fun p -> Some (Channel.uniform_loss ~dup:0.3 p)) (float_range 0.0 0.6);
+        return (Some (Channel.bursty_loss ~dup:0.2 ~base:0.1 ~burst:0.8 ()));
+      ]
+  in
+  let gen_spec = triple (int_range 1 500) gen_loss (map (fun n -> n > 0) (int_range 0 3)) in
+  let gen_case =
+    let* specs = array_size (int_range 1 6) gen_spec in
+    let k = Array.length specs in
+    let gen_op =
+      frequency
+        [
+          (6, map (fun l -> Mc l) (list_size (int_range 0 8) (int_range 0 (k - 1))));
+          (1, map (fun i -> Mc_fail i) (int_range 0 (k - 1)));
+          (1, map (fun i -> Mc_repair i) (int_range 0 (k - 1)));
+          (2, map (fun us -> Mc_wait us) (int_range 0 800));
+        ]
+    in
+    let* ops = list_size (int_range 1 25) gen_op in
+    let* codec = bool in
+    return (specs, ops, codec)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"one multicast behaves like a send per channel" gen_case
+       (fun (specs, ops, codec) ->
+         let mc = mc_world ~codec specs and tw = mc_world ~codec specs in
+         let codec_ok = ref true in
+         List.iteri
+           (fun n op ->
+             match op with
+             | Mc idx ->
+                 let msg = Printf.sprintf "m%d" n in
+                 let chans w = List.map (fun i -> w.chans.(i)) idx in
+                 let passes =
+                   if codec && List.exists Channel.is_up (chans mc) then 1 else 0
+                 in
+                 let e0 = !(mc.encodes) and d0 = !(mc.decodes) in
+                 Channel.multicast (chans mc) msg;
+                 if !(mc.encodes) - e0 <> passes || !(mc.decodes) - d0 <> passes
+                 then codec_ok := false;
+                 List.iter (fun ch -> ignore (Channel.send ch msg)) (chans tw)
+             | Mc_fail i ->
+                 Channel.fail mc.chans.(i);
+                 Channel.fail tw.chans.(i)
+             | Mc_repair i ->
+                 Channel.repair mc.chans.(i);
+                 Channel.repair tw.chans.(i)
+             | Mc_wait us ->
+                 let until w = Time.add (Engine.now w.engine) (Time.of_us us) in
+                 Engine.run ~until:(until mc) mc.engine;
+                 Engine.run ~until:(until tw) tw.engine)
+           ops;
+         Engine.run mc.engine;
+         Engine.run tw.engine;
+         !codec_ok
+         && List.equal ( = ) !(mc.got) !(tw.got)
+         && List.equal ( = ) !(mc.hooks) !(tw.hooks)
+         && List.equal (List.equal Int.equal) (mc_counters mc) (mc_counters tw)))
+
 let () =
   Alcotest.run "openflow"
     [
@@ -327,5 +458,6 @@ let () =
           Alcotest.test_case "FIFO under jitter" `Quick test_channel_fifo_under_jitter;
           Alcotest.test_case "failure/repair" `Quick test_channel_failure;
           Alcotest.test_case "no receiver" `Quick test_channel_no_receiver;
+          test_channel_multicast_oracle;
         ] );
     ]

@@ -651,12 +651,12 @@ let test_buffered_punt_e2e () =
     (Network.ctrl_bytes_sent net > 0)
 
 (* Flows start between runs, as a sharded network requires. *)
-let run_lazy ?shards ?controllers seed =
+let run_net ?shards ?controllers ?(mode = Network.Lazy) seed =
   let topo = build_topo seed in
   let net =
     Network.create
       ~params:(Params.with_seed seed Params.default)
-      ?shards ?controllers ~mode:Network.Lazy ~topo
+      ?shards ?controllers ~mode ~topo
       ~horizon:(Time.of_min 10) ()
   in
   Network.bootstrap net ();
@@ -675,35 +675,46 @@ let run_lazy ?shards ?controllers seed =
 
 (* On one shard, on four, and with three controllers: every send charges
    its own shard's recorder, so the per-shard totals sum to the channel
-   counters of every controller's spokes. *)
+   counters of every controller's spokes.  On the OpenFlow plane each
+   flood is one multicast, which must still charge every link its own
+   frame. *)
 let test_byte_crosscheck () =
+  let crosscheck what net =
+    let sum f arr = Array.fold_left (fun acc x -> acc + f x) 0 arr in
+    let sent = Network.ctrl_bytes_sent net in
+    let msg m = Printf.sprintf "%s (%s)" m what in
+    Alcotest.(check bool) (msg "control channels carried bytes") true (sent > 0);
+    Alcotest.(check int) (msg "recorder totals equal the channel counters") sent
+      (sum Recorder.total_ctrl_bytes (Network.recorders net));
+    let totals = Network.link_stats net in
+    Alcotest.(check bool)
+      (msg "all-channel byte totals dominate the controller-facing subset")
+      true
+      (totals.Network.links_bytes_sent >= sent);
+    let per_sec =
+      Array.concat
+        (Array.to_list (Array.map Recorder.ctrl_bytes_per_sec (Network.recorders net)))
+    in
+    Alcotest.(check bool) (msg "the bytes/sec series carries the total") true
+      (Array.fold_left ( +. ) 0.0 per_sec > 0.0)
+  in
   List.iter
     (fun (shards, controllers) ->
-      let net = run_lazy ~shards ~controllers 23 in
-      let sum f arr = Array.fold_left (fun acc x -> acc + f x) 0 arr in
-      let sent = Network.ctrl_bytes_sent net in
-      let msg what =
-        Printf.sprintf "%s (%d shards, %d controllers)" what shards controllers
-      in
-      Alcotest.(check bool) (msg "control channels carried bytes") true (sent > 0);
-      Alcotest.(check int) (msg "recorder totals equal the channel counters") sent
-        (sum Recorder.total_ctrl_bytes (Network.recorders net));
-      let totals = Network.link_stats net in
-      Alcotest.(check bool)
-        (msg "all-channel byte totals dominate the controller-facing subset")
-        true
-        (totals.Network.links_bytes_sent >= sent);
-      let per_sec =
-        Array.concat
-          (Array.to_list (Array.map Recorder.ctrl_bytes_per_sec (Network.recorders net)))
-      in
-      Alcotest.(check bool) (msg "the bytes/sec series carries the total") true
-        (Array.fold_left ( +. ) 0.0 per_sec > 0.0))
-    [ (1, 1); (4, 1); (1, 3) ]
+      crosscheck
+        (Printf.sprintf "%d shards, %d controllers" shards controllers)
+        (run_net ~shards ~controllers 23))
+    [ (1, 1); (4, 1); (1, 3) ];
+  let net = run_net ~mode:Network.Openflow 23 in
+  (match Network.of_controller net with
+  | Some c ->
+      Alcotest.(check bool) "the OpenFlow run flooded" true
+        ((Of_controller.stats c).Of_controller.floods > 0)
+  | None -> Alcotest.fail "openflow mode has a baseline controller");
+  crosscheck "openflow" net
 
 let test_byte_determinism () =
-  let a = Network.ctrl_bytes_sent (run_lazy 29) in
-  let b = Network.ctrl_bytes_sent (run_lazy 29) in
+  let a = Network.ctrl_bytes_sent (run_net 29) in
+  let b = Network.ctrl_bytes_sent (run_net 29) in
   Alcotest.(check bool) "same-seed runs moved bytes" true (a > 0);
   Alcotest.(check int) "same-seed runs move identical byte totals" a b
 
